@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-verify   residual check of the closed-form resolvent at one lambda
+verify   backward-error check of the closed-form resolvent at one lambda
 bounds   entrywise bound scans / product profiles / the disk equivalence
 sweep    lambda-grid sweep writing CSV or JSON records
 norms    norm table of the averaging matrix across spaces and sizes
@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedParameterError,
     WrongRegimeError,
 )
-from .resolvent import alpha_of, nearest_pole, residual
+from .resolvent import GAMMA_FLOOR, alpha_of, nearest_pole, residual
 from .spaces import parse_space
 from .spectra import GridSpec, NormOptions, classify_growth, operator_norm_estimate, sweep
 from .triangular import cesaro_matrix
@@ -42,7 +42,8 @@ __all__ = ["main", "parse_complex", "format_float"]
 
 logger = logging.getLogger(__name__)
 
-RESIDUAL_PASS = 1e-9
+# verify passes when the normwise backward error is at most this many n eps
+RESIDUAL_PASS_NEPS = 8
 
 CSV_HEADER = "lambda_re,lambda_im,n,gamma,op_norm_est,reg_norm_est,in_disk,verdict"
 
@@ -95,22 +96,23 @@ def _parse_sizes(text):
 def _cmd_verify(args):
     lam = parse_complex(args.lam)
     point, dist = nearest_pole(lam)
-    if dist <= RESIDUAL_PASS:
+    if dist <= GAMMA_FLOOR:
         print(
             f"lambda within {format_float(dist)} of {point!r}, a pole of the resolvent",
             file=sys.stderr,
         )
         return 2
     r = residual(lam, args.n)
+    threshold = RESIDUAL_PASS_NEPS * args.n * sys.float_info.epsilon
     print(f"lambda   = {format_float(lam.real)} + {format_float(lam.imag)}i")
     print(f"n        = {args.n}")
     print(f"gamma    = {format_float(dist)}")
     print(f"alpha    = {format_float(alpha_of(lam))}")
     print(f"residual = {format_float(r)}")
-    if r <= RESIDUAL_PASS:
-        print(f"PASS (residual <= {RESIDUAL_PASS:g})")
+    if r <= threshold:
+        print(f"PASS (residual <= {RESIDUAL_PASS_NEPS} n eps = {threshold:.3g})")
         return 0
-    print(f"FAIL (residual > {RESIDUAL_PASS:g})")
+    print(f"FAIL (residual > {RESIDUAL_PASS_NEPS} n eps = {threshold:.3g})")
     return 1
 
 
@@ -358,7 +360,9 @@ def build_parser():
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="residual check of the closed-form resolvent")
+    p_verify = sub.add_parser(
+        "verify", help="normwise backward error of the closed-form resolvent"
+    )
     p_verify.add_argument("--lambda", dest="lam", required=True, help='complex "a+bi"')
     p_verify.add_argument("--n", type=int, default=256, help="truncation size")
     p_verify.set_defaults(func=_cmd_verify)

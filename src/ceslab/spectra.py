@@ -10,7 +10,19 @@ the open disk.
 Operator norms are exact where a closed form exists (max row sums on the
 max-norm spaces, singular values on l^2) and otherwise estimated by a
 dual-exponent ascent iteration that returns the best certified lower bound,
-paired with a row-sum-style upper bound where one is available.
+paired with a row-sum-style upper bound where one is available.  Above
+``NormOptions.svd_cutoff`` the l^2 norm comes from Lanczos
+bidiagonalization (ARPACK through ``scipy.sparse.linalg.svds``) instead of
+a dense SVD.
+
+Every estimator uses only a small operator interface: ``n``, ``matvec``,
+``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
+``abs_col_sums()``, ``is_real()`` and ``dense()``.  Both the packed
+:class:`~ceslab.triangular.LowerTriangularMatrix` and the O(n)
+:class:`~ceslab.resolvent.GeneratorMatrix` provide it; the sweep engine
+feeds the latter, so it stores a resolvent densely only where that is
+faster or needed: the dense SVD up to the cutoff, the ascents up to
+DENSE_PRODUCTS_MAX, and the ces(0) column scan.
 """
 
 import logging
@@ -20,12 +32,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from .errors import InvalidConfigError, UnsupportedParameterError
 from .resolvent import gamma as gamma_of
-from .resolvent import resolvent_matrix
+from .resolvent import resolvent_operator
 from .spaces import cesaro_averages, dual_exponent, norm
-from .triangular import modulus, row_offsets
 
 __all__ = [
     "SpectralDisk",
@@ -50,6 +62,11 @@ logger = logging.getLogger(__name__)
 SWEEP_GAMMA_SKIP = 1e-3
 
 DISK_TOLERANCE = 1e-12
+
+# Up to this size the ascents apply one dense copy of the operator: a BLAS
+# product then beats the few numpy calls of an O(n) running sum (the two
+# cost the same near n = 200 on a 2-CPU Xeon).
+DENSE_PRODUCTS_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -86,18 +103,18 @@ def in_spectrum(space, lam, tol=DISK_TOLERANCE):
 class NormOptions:
     """Options for the iterative norm estimators.
 
-    ``seed`` drives the random restarts, making every estimate reproducible;
-    ``svd_cutoff`` is the size up to which l^2 norms use a full singular
-    value decomposition before switching to seeded power iteration.
+    ``seed`` drives the random restarts and the Lanczos start vector,
+    making every estimate reproducible; ``svd_cutoff`` is the size up to
+    which l^2 norms use a full singular value decomposition of the dense
+    matrix.  Above it they use Lanczos bidiagonalization run to machine
+    precision, which needs only products with the matrix and its adjoint.
     """
 
     seed: int = 0
     restarts: int = 5
     max_iter: int = 200
     rtol: float = 1e-10
-    svd_cutoff: int = 4096
-    power_tol: float = 1e-11
-    power_max_iter: int = 5000
+    svd_cutoff: int = 64
 
 
 @dataclass
@@ -106,7 +123,10 @@ class NormEstimate:
 
     ``value`` is exact for the closed-form paths and a certified lower
     bound for the ascent paths (it is the norm ratio at an actual vector).
-    ``upper`` is a row-sum-based upper bound when one is available.
+    The Lanczos path reports the largest singular value to rounding when
+    ARPACK converges, and otherwise the norm ratio at its last iterate
+    with ``converged`` false.  ``upper`` is a row-sum-based upper bound
+    when one is available.
     """
 
     value: float
@@ -117,15 +137,6 @@ class NormEstimate:
     best_vector: np.ndarray | None = None
 
 
-def _abs_row_sums(A):
-    return np.add.reduceat(np.abs(A.data), row_offsets(A.n))
-
-
-def _abs_col_sums(A):
-    dense = np.abs(A.dense())
-    return dense.sum(axis=0)
-
-
 def _phase(v):
     out = np.zeros_like(v)
     np.divide(v, np.abs(v), out=out, where=np.abs(v) > 0)
@@ -134,29 +145,45 @@ def _phase(v):
 
 def _l2_estimate(A, opts):
     n = A.n
+    real = A.is_real()
     if n <= opts.svd_cutoff:
         dense = A.dense()
-        if not np.any(dense.imag):
+        if real:
             dense = dense.real  # real SVD is about twice as fast
         value = float(scipy.linalg.svdvals(dense)[0])
         return NormEstimate(value, value, "svd", True, True)
-    dense = A.dense()
+    dtype = np.float64 if real else np.complex128
+    cast = np.real if real else np.asarray
+    operator = LinearOperator(
+        (n, n),
+        matvec=lambda x: cast(A.matvec(np.ravel(x))),
+        rmatvec=lambda y: cast(A.rmatvec(np.ravel(y))),
+        dtype=dtype,
+    )
     rng = np.random.default_rng(opts.seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    converged = False
-    for _ in range(opts.power_max_iter):
-        w = dense.conj().T @ (dense @ v)
-        new_sigma = float(np.sqrt(np.linalg.norm(w)))
-        v = w / np.linalg.norm(w)
-        if abs(new_sigma - sigma) <= opts.power_tol * max(new_sigma, 1.0):
-            sigma = new_sigma
-            converged = True
-            break
-        sigma = new_sigma
-    upper = float(np.sqrt(_abs_row_sums(A).max() * _abs_col_sums(A).max()))
-    return NormEstimate(sigma, upper, "power", False, converged, v)
+    v0 = rng.standard_normal(n)
+    if not real:
+        v0 = v0 + 1j * rng.standard_normal(n)
+    try:
+        _, s, vh = svds(operator, k=1, tol=0, v0=v0)
+        value, vector, converged = float(s[0]), vh[0].conj(), True
+    except ArpackNoConvergence as exc:
+        # report the norm ratio at the last iterate, a certified lower bound
+        found = np.asarray(exc.eigenvectors)
+        vector = found[:, -1] if found.ndim == 2 and found.shape[1] else v0
+        vector = vector / np.linalg.norm(vector)
+        value, converged = float(np.linalg.norm(A.matvec(vector))), False
+    upper = float(np.sqrt(A.abs_row_sums().max() * A.abs_col_sums().max()))
+    return NormEstimate(value, upper, "lanczos", False, converged, vector)
+
+
+def _products(A):
+    """The products x -> A x and y -> A* y that the ascents iterate."""
+    if A.n > DENSE_PRODUCTS_MAX:
+        return A.matvec, A.rmatvec
+    # complex like the iterates, so that no product casts the matrix again
+    dense = A.dense().astype(np.complex128, copy=False)
+    return dense.__matmul__, dense.conj().T.__matmul__
 
 
 def _lp_dual_map(z, p_dual):
@@ -182,8 +209,7 @@ def _ascent_lp(A, p, opts, extra_starts):
     Each iterate is a unit vector, so every evaluated ratio is a certified
     lower bound; the estimate sequence is nondecreasing along a run.
     """
-    dense = A.dense()
-    adjoint = dense.conj().T
+    matvec, rmatvec = _products(A)
     p_dual = dual_exponent(p)
     best = 0.0
     best_x = None
@@ -192,7 +218,7 @@ def _ascent_lp(A, p, opts, extra_starts):
         x = x0 / np.linalg.norm(x0, p)
         prev = -np.inf
         for it in range(opts.max_iter):
-            y = dense @ x
+            y = matvec(x)
             est = float(np.linalg.norm(y, p))
             if est > best:
                 best, best_x = est, x.copy()
@@ -200,7 +226,7 @@ def _ascent_lp(A, p, opts, extra_starts):
                 break
             prev = est
             psi = _lp_dual_map(y, p)  # direction of the norm's subgradient
-            z = adjoint @ psi
+            z = rmatvec(psi)
             if np.abs(z).max() == 0:
                 break
             x = _lp_dual_map(z, p_dual)
@@ -208,7 +234,7 @@ def _ascent_lp(A, p, opts, extra_starts):
         else:
             converged = False
     upper = float(
-        _abs_col_sums(A).max() ** (1.0 / p) * _abs_row_sums(A).max() ** (1.0 / p_dual)
+        A.abs_col_sums().max() ** (1.0 / p) * A.abs_row_sums().max() ** (1.0 / p_dual)
     )
     return NormEstimate(best, upper, "ascent", False, converged, best_x)
 
@@ -226,8 +252,7 @@ def _ascent_ces(A, space, opts, extra_starts):
     reported value is the best norm ratio over all evaluated unit vectors,
     hence a valid lower bound regardless of the heuristic's dynamics.
     """
-    dense = A.dense()
-    adjoint = dense.conj().T
+    matvec, rmatvec = _products(A)
     n = A.n
     max_type = space.kind == "ces0"
     best = 0.0
@@ -245,7 +270,7 @@ def _ascent_ces(A, space, opts, extra_starts):
         x = x0 / nx
         prev = -np.inf
         for it in range(opts.max_iter):
-            y = dense @ x
+            y = matvec(x)
             w = cesaro_averages(y)
             if max_type:
                 est = float(w.max())
@@ -261,7 +286,7 @@ def _ascent_ces(A, space, opts, extra_starts):
                 g[int(np.argmax(w))] = 1.0
             else:
                 g = (w / est) ** (space.p - 1.0)
-            z = adjoint @ (_phase(y) * _ces_dual_transpose(g, n))
+            z = rmatvec(_phase(y) * _ces_dual_transpose(g, n))
             if np.abs(z).max() == 0:
                 break
             if max_type:
@@ -301,7 +326,7 @@ def _ces0_vertex_starts(n):
 def _ces0_column_sup(A):
     # best single-column input: sup_m m * || averages of |A e_m| ||_max,
     # exact over the spike directions m e_m of the ces(0) unit sphere
-    absdense = np.abs(A.dense())
+    absdense = A.modulus().dense().real
     col_averages = np.cumsum(absdense, axis=0) / np.arange(1, A.n + 1)[:, None]
     per_column = col_averages.max(axis=0) * np.arange(1, A.n + 1)
     m_best = int(np.argmax(per_column))
@@ -315,7 +340,7 @@ def operator_norm_report(space, A, opts=None, extra_starts=()):
     opts = opts or NormOptions()
     kind = space.kind
     if kind in ("linf", "c0"):
-        value = float(_abs_row_sums(A).max())
+        value = float(A.abs_row_sums().max())
         return NormEstimate(value, value, "rowsum", True, True)
     if kind == "lp":
         if space.p == 2.0:
@@ -337,9 +362,10 @@ def operator_norm_estimate(space, A, opts=None):
     """Operator norm of A acting from ``space`` to itself.
 
     Exact for the max-norm spaces (largest absolute row sum) and for l^2
-    below the SVD cutoff (largest singular value); elsewhere the value is
-    the best lower bound found by dual-exponent ascent with seeded
-    restarts.
+    (largest singular value: a dense SVD up to the cutoff, Lanczos above
+    it); elsewhere the value is the best lower bound found by
+    dual-exponent ascent with seeded restarts.  ``A`` is any operator
+    with the interface described in the module docstring.
     """
     return operator_norm_report(space, A, opts).value
 
@@ -351,7 +377,7 @@ def regular_norm_estimate(space, A, opts=None):
     positive operator dominating A, so its norm realizes the infimum
     defining the regular norm; for positive A the two norms coincide.
     """
-    return operator_norm_report(space, modulus(A), opts).value
+    return operator_norm_report(space, A.modulus(), opts).value
 
 
 @dataclass(frozen=True)
@@ -415,13 +441,13 @@ class GrowthVerdict:
 
 
 def _sweep_task(space, lam, n, opts, in_disk):
-    R = resolvent_matrix(lam, n)
+    R = resolvent_operator(lam, n)
     op = operator_norm_report(space, R, opts)
     escort = ()
     if op.best_vector is not None:
         # feeding |x*| to the modulus ascent pins reg >= op structurally
         escort = (np.abs(op.best_vector),)
-    reg = operator_norm_report(space, modulus(R), opts, extra_starts=escort)
+    reg = operator_norm_report(space, R.modulus(), opts, extra_starts=escort)
     return SweepRecord(
         lam=lam,
         n=n,
@@ -446,7 +472,8 @@ def sweep(space, grid, sizes, opts=None):
     """Resolvent-norm sweep over a lambda grid at several truncation sizes.
 
     Points within SWEEP_GAMMA_SKIP of a pole are skipped and logged.  Each
-    retained (lambda, n) task builds the closed-form resolvent and records
+    retained (lambda, n) task builds the closed-form resolvent in generator
+    form (:func:`~ceslab.resolvent.resolvent_operator`) and records
     operator- and regular-norm estimates plus disk membership.  Tasks run
     on a thread pool (capped by the CESLAB_THREADS environment variable)
     and results are merged back into deterministic row-major grid order,

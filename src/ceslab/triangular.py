@@ -13,6 +13,7 @@ keeps sizes around 10^4 workable.
 """
 
 import numpy as np
+from scipy.linalg.blas import ztpmv
 
 from .errors import InvalidDimensionError
 
@@ -145,6 +146,28 @@ class LowerTriangularMatrix:
         out[rows, cols] = self.data
         return out
 
+    # Row-major packed lower storage is the column-major packed upper storage
+    # of the transpose, so BLAS tpmv applies the matrix without unpacking.
+
+    def matvec(self, x):
+        """The product A x of a vector of length n."""
+        return ztpmv(self.n, self.data, np.asarray(x, dtype=np.complex128), trans=1)
+
+    def rmatvec(self, y):
+        """The adjoint product A* y of a vector of length n."""
+        y = np.conj(np.asarray(y, dtype=np.complex128))
+        return np.conj(ztpmv(self.n, self.data, y))
+
+    def modulus(self):
+        """The entrywise modulus |A|, the least positive matrix dominating A."""
+        return LowerTriangularMatrix(self.n, np.abs(self.data).astype(np.complex128))
+
+    def abs_row_sums(self):
+        return np.add.reduceat(np.abs(self.data), row_offsets(self.n))
+
+    def abs_col_sums(self):
+        return self.modulus().rmatvec(np.ones(self.n)).real
+
     def leading_block(self, m):
         """The leading m x m section, itself a packed lower-triangular matrix."""
         if not (1 <= m <= self.n):
@@ -219,13 +242,7 @@ def apply(A, x):
         raise InvalidDimensionError(
             f"vector of length {x.shape} does not match matrix size {A.n}"
         )
-    y = np.empty(A.n, dtype=np.complex128)
-    data = A.data
-    off = 0
-    for i in range(A.n):
-        y[i] = np.dot(data[off : off + i + 1], x[: i + 1])
-        off += i + 1
-    return y
+    return A.matvec(x)
 
 
 def compose(A, B):
@@ -245,7 +262,7 @@ def compose(A, B):
 
 def modulus(B):
     """The entrywise modulus matrix |B|, the least positive matrix dominating B."""
-    return LowerTriangularMatrix(B.n, np.abs(B.data).astype(np.complex128))
+    return B.modulus()
 
 
 def split_regular(B):

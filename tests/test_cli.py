@@ -51,6 +51,20 @@ class TestVerify:
         ][0]
         assert float(residual_line.split("=")[1]) <= 1e-9
 
+    def test_near_pole_diagonal_bound_is_relative(self, capsys):
+        # rounding alone once pushed |d| past 1/gamma + 1e-9: a traceback
+        lam = "0.058823544111141136+2.3078740349828933e-08i"
+        assert main(["verify", f"--lambda={lam}", "--n=64"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_ill_conditioned_section_passes(self, capsys):
+        # max|R| = 2.1e10 here; the absolute deviation from I was 1
+        assert main(["verify", "--lambda=0.3333333333333333+2e-9i", "--n=8"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        residual_line = [line for line in out.splitlines() if "residual" in line][0]
+        assert float(residual_line.split("=")[1]) <= 8 * 8 * 2.0**-52
+
 
 class TestBounds:
     def test_rho1_holds(self, capsys):

@@ -113,14 +113,35 @@ class TestOperatorNorms:
         value = operator_norm_estimate(ces0(), cesaro_matrix(40))
         assert value == pytest.approx(1.0, rel=1e-12)
 
-    def test_power_iteration_branch_matches_svd(self, rng):
+    def test_lanczos_branch_matches_svd(self, rng):
         A = random_triangular(rng, 48)
         exact = operator_norm_estimate(lp(2), A)
         report = operator_norm_report(lp(2), A, NormOptions(svd_cutoff=16))
-        assert report.method == "power"
+        assert report.method == "lanczos"
         assert report.converged
-        assert report.value == pytest.approx(exact, rel=1e-8)
+        assert report.value == pytest.approx(exact, rel=1e-12)
         assert report.value <= report.upper * (1 + 1e-12)
+        ratio = np.linalg.norm(A.dense() @ report.best_vector)
+        assert ratio == pytest.approx(report.value, rel=1e-12)
+
+    def test_lanczos_without_convergence_is_reported(self, rng, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        import ceslab.spectra
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((48, 0)))
+
+        monkeypatch.setattr(ceslab.spectra, "svds", fail)
+        A = random_triangular(rng, 48)
+        report = operator_norm_report(lp(2), A, NormOptions(svd_cutoff=16))
+        assert report.method == "lanczos" and not report.converged
+        # the value is the norm ratio at an actual unit vector
+        assert np.linalg.norm(report.best_vector) == pytest.approx(1.0)
+        assert report.value == pytest.approx(
+            np.linalg.norm(A.dense() @ report.best_vector), rel=1e-12
+        )
+        assert report.value <= svdvals(A.dense())[0] * (1 + 1e-12)
 
     def test_ces_norm_bounded_by_hardy_constant(self):
         value = operator_norm_estimate(ces(2), cesaro_matrix(64))
