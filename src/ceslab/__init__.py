@@ -15,7 +15,6 @@ from .bounds import (
     gamma_circle_point,
     product_profile,
     remark41,
-    row_sup_and_column_limits,
 )
 from .errors import (
     CeslabError,
@@ -30,15 +29,11 @@ from .errors import (
 from .multiplication import diag_norm_equality_check, diag_operator, diag_spectrum
 from .resolvent import (
     GeneratorMatrix,
-    ResolventParts,
+    comparison_operator,
     diagonal_part,
-    e_part,
-    g_matrix,
     gamma,
     in_sigma_zero,
-    resolvent_matrix,
     resolvent_operator,
-    resolvent_parts,
     residual,
 )
 from .spaces import Space, c0, ces, ces0, dual_exponent, linf, lp, norm, parse_space
@@ -59,25 +54,19 @@ from .spectra import (
 )
 from .triangular import (
     LowerTriangularMatrix,
-    RegularSplit,
     apply,
     cesaro_matrix,
-    compose,
     dominates,
     modulus,
-    split_regular,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LowerTriangularMatrix",
-    "RegularSplit",
     "cesaro_matrix",
     "apply",
-    "compose",
     "modulus",
-    "split_regular",
     "dominates",
     "Space",
     "lp",
@@ -91,20 +80,15 @@ __all__ = [
     "gamma",
     "in_sigma_zero",
     "diagonal_part",
-    "e_part",
-    "resolvent_matrix",
-    "resolvent_parts",
-    "ResolventParts",
+    "comparison_operator",
     "resolvent_operator",
     "GeneratorMatrix",
     "residual",
-    "g_matrix",
     "ProductProfile",
     "BoundReport",
     "product_profile",
     "beta_estimate",
     "check_entry_bounds",
-    "row_sup_and_column_limits",
     "remark41",
     "gamma_circle_point",
     "SpectralDisk",

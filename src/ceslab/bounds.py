@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import UnsupportedParameterError, WrongRegimeError
 from .resolvent import (
+    _factor_sequence,
     _require_off_sigma_zero,
     alpha_of,
+    comparison_operator,
     diagonal_part,
-    e_part,
 )
-from .triangular import packed_indices
 
 __all__ = [
     "BOUND_KINDS",
@@ -37,7 +37,6 @@ __all__ = [
     "beta_estimate",
     "check_entry_bounds",
     "comparison_matrix_report",
-    "row_sup_and_column_limits",
     "remark41",
     "gamma_circle_point",
 ]
@@ -101,17 +100,12 @@ class BoundReport:
         return d
 
 
-def _log_abs_factors(lam, N):
-    k = np.arange(1, N + 1, dtype=np.float64)
-    return np.log(np.abs(1.0 - 1.0 / (k * lam)))
-
-
 def product_profile(lam, N):
     """Profile of the factor products up to N, evaluated in the log domain."""
     lam = complex(lam)
     _require_off_sigma_zero(lam)
     alpha = alpha_of(lam)
-    logpi = np.cumsum(_log_abs_factors(lam, N))
+    logpi = np.cumsum(np.log(np.abs(_factor_sequence(lam, N))))
     logn = np.log(np.arange(1, N + 1, dtype=np.float64))
     return ProductProfile(lam, alpha, np.exp(logpi), np.exp(alpha * logn + logpi))
 
@@ -132,7 +126,8 @@ def beta_estimate(lam, N):
         )
     if N < 2:
         raise UnsupportedParameterError("need N >= 2 for a nonempty strict triangle")
-    prefix = np.concatenate(([0.0], np.cumsum(_log_abs_factors(lam, N))))
+    logpi = np.cumsum(np.log(np.abs(_factor_sequence(lam, N))))
+    prefix = np.concatenate(([0.0], logpi))
     logj = np.log(np.arange(1, N + 1, dtype=np.float64))
     # |e_nm| n^(1-alpha) m^alpha = [|F_{m-1}| m^alpha] * [n^(-alpha) / |F_n|]
     log_a = prefix[:N] + alpha * logj
@@ -141,16 +136,20 @@ def beta_estimate(lam, N):
     return float(np.exp((log_b[1:] + best_a[:-1]).max()))
 
 
-def _strict_lower_scan(values, bound, n):
-    """Worst margin of bound - |value| over the strict lower triangle."""
+def _strict_lower_scan(lam, n, bound):
+    """Worst margin of bound - |e_nm| over E's strict lower triangle.
+
+    ``bound(rows, cols)`` gets the 0-based indices as a column and a row
+    and returns the bounds as an array that broadcasts to (n, n).
+    """
+    abs_e = comparison_operator(lam, n).modulus().dense()
     if n < 2:
         raise UnsupportedParameterError("entry scans need n >= 2")
-    rows, cols = packed_indices(n)
-    mask = cols < rows
-    margins = bound[mask] - np.abs(values[mask])
-    k = int(np.argmin(margins))
-    idx = np.flatnonzero(mask)[k]
-    return float(margins[k]), (int(rows[idx]) + 1, int(cols[idx]) + 1)
+    idx = np.arange(n)
+    margins = bound(idx[:, None], idx[None, :]) - abs_e
+    margins[~np.tri(n, k=-1, dtype=bool)] = np.inf
+    k = int(np.argmin(margins))  # row-major: the first of equal margins
+    return float(margins.flat[k]), (k // n + 1, k % n + 1)
 
 
 def check_entry_bounds(lam, n, kind):
@@ -177,28 +176,23 @@ def check_entry_bounds(lam, n, kind):
                 "Re(1/lambda) < 1",
             )
         beta = beta_estimate(lam, 2 * n)
-        E = e_part(lam, n)
-        rows, cols = packed_indices(n)
-        bound = beta * (rows + 1.0) ** (alpha - 1.0) * (cols + 1.0) ** (-alpha)
-        worst, witness = _strict_lower_scan(E.data, bound, n)
+        bound = lambda r, c: beta * (r + 1.0) ** (alpha - 1.0) * (c + 1.0) ** (-alpha)
+        worst, witness = _strict_lower_scan(lam, n, bound)
     elif kind == "rho1_54":
         if alpha > 0.0:
             raise WrongRegimeError(
                 f"lambda has Re(1/lambda) = {alpha} > 0",
                 "rho1: lambda != 0 with Re(1/lambda) <= 0",
             )
-        E = e_part(lam, n)
-        rows, _ = packed_indices(n)
-        worst, witness = _strict_lower_scan(E.data, 1.0 / (rows + 1.0), n)
+        worst, witness = _strict_lower_scan(lam, n, lambda r, c: 1.0 / (r + 1.0))
     elif kind == "gamma_56":
         if not 0.0 < alpha < 1.0:
             raise WrongRegimeError(
                 f"lambda has Re(1/lambda) = {alpha}",
                 "a circle point: 0 < Re(1/lambda) < 1",
             )
-        E = e_part(lam, n)
-        ref = e_part(1.0 / alpha, n)
-        worst, witness = _strict_lower_scan(E.data, ref.data.real, n)
+        ref = comparison_operator(1.0 / alpha, n).modulus().dense()
+        worst, witness = _strict_lower_scan(lam, n, lambda r, c: ref)
     elif kind in ("rowsum_46", "collimit_49"):
         if alpha >= 1.0:
             raise WrongRegimeError(
@@ -263,24 +257,6 @@ def comparison_matrix_report(kind, alpha, n):
             f"comparison matrix undefined at alpha = {alpha}", "alpha < 1"
         )
     return _profile_bound_report(kind, None, alpha, n)
-
-
-def row_sup_and_column_limits(alpha, N):
-    """Row-sum sup and terminal-row column proxy of the comparison matrix.
-
-    Returns ``(sup, last_row)`` where sup is the largest row sum
-    r^(alpha-1) sum_{m<=r} m^(-alpha) over r <= N and last_row contains the
-    entries N^(alpha-1) m^(-alpha), the finite stand-in for the column
-    limits (which vanish as N grows since alpha < 1).
-    """
-    alpha = float(alpha)
-    if alpha >= 1.0:
-        raise UnsupportedParameterError(f"requires alpha < 1, got {alpha}")
-    if N < 1:
-        raise UnsupportedParameterError(f"need N >= 1, got {N}")
-    sums = _row_sums(alpha, N)
-    m = np.arange(1, N + 1, dtype=np.float64)
-    return float(sums.max()), N ** (alpha - 1.0) * m**-alpha
 
 
 def remark41(lam, b):

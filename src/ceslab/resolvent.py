@@ -10,16 +10,16 @@ and a zero first row.  Because the matrices are lower triangular the n x n
 truncation of the inverse is exactly the inverse of the n x n truncation,
 so every identity here can be checked by plain matrix arithmetic.
 
-Products are evaluated per row by an incremental recurrence; above a size
-threshold the accumulation moves to the log domain (log-modulus plus
-argument), where the factors' n^(+-alpha) growth cannot over- or underflow.
-
-The strict lower part is also separable: with
-F_k = prod_{j<=k} (1 - 1/(j lambda)) the entry e_nm equals F_{m-1} / (n F_n).
-:func:`resolvent_operator` keeps only the diagonal and the two factor
-sequences (a :class:`GeneratorMatrix`), so products with R, R* and |R|
-cost O(n) time and memory.
+The strict lower part is separable: with F_k = prod_{j<=k} (1 - 1/(j lambda))
+the entry e_nm equals F_{m-1} / (n F_n).  Both E (:func:`comparison_operator`)
+and R (:func:`resolvent_operator`) are built from these factor sequences
+only, as a :class:`GeneratorMatrix`: F_k is kept as mantissas times one
+scale per block of indices, so the factors stay finite where the n^(+-alpha)
+growth of F_k over- or underflows, and products with the matrix, its adjoint
+and its modulus cost O(n) time and memory.
 """
+
+import cmath
 
 import numpy as np
 
@@ -30,33 +30,24 @@ from .errors import (
     ProductOverflowError,
     UnsupportedParameterError,
 )
-from .triangular import LowerTriangularMatrix, cesaro_matrix, row_offsets
+from .triangular import cesaro_matrix
 
 __all__ = [
     "GAMMA_FLOOR",
-    "LOG_DOMAIN_THRESHOLD",
     "gamma",
     "nearest_pole",
     "in_sigma_zero",
     "alpha_of",
     "diagonal_part",
-    "e_part",
-    "resolvent_matrix",
-    "resolvent_parts",
-    "ResolventParts",
     "GeneratorMatrix",
+    "comparison_operator",
     "resolvent_operator",
     "residual",
-    "g_matrix",
 ]
 
 # Below this distance to a pole the diagonal entries 1/((1/n) - lambda)
 # lose all double-precision digits; construction is refused.
 GAMMA_FLOOR = 1e-9
-
-# Direct products are exact enough (and faster) up to this size; beyond it
-# rows are accumulated as log-modulus + argument.
-LOG_DOMAIN_THRESHOLD = 512
 
 # 1/Re(lambda) beyond this exceeds exact integer resolution of doubles; the
 # reciprocals 1/n are then denser than float spacing around Re(lambda).
@@ -165,68 +156,6 @@ def _factor_sequence(lam, n):
     return f.astype(np.complex128)
 
 
-def _e_data_direct(lam, n):
-    """Strict-lower products by the row recurrence S(m, n+1) = S(m, n) f_{n+1}."""
-    f = _factor_sequence(lam, n)
-    data = np.zeros(n * (n + 1) // 2, dtype=np.complex128)
-    if n < 2:
-        return data
-    row = np.array([f[0] * f[1]], dtype=np.complex128)  # S(1, 2)
-    data[1] = 1.0 / (2.0 * row[0])
-    for i in range(2, n):  # row i holds S(m, i+1), m = 1..i
-        row = np.concatenate((row * f[i], [f[i - 1] * f[i]]))
-        off = i * (i + 1) // 2
-        data[off : off + i] = 1.0 / ((i + 1) * row)
-    return data
-
-
-def _e_data_log(lam, n):
-    """Same entries via prefix sums of complex logs; safe at any size."""
-    f = _factor_sequence(lam, n)
-    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(np.log(f))))
-    data = np.zeros(n * (n + 1) // 2, dtype=np.complex128)
-    for i in range(1, n):
-        off = i * (i + 1) // 2
-        data[off : off + i] = np.exp(prefix[:i] - prefix[i + 1] - np.log(i + 1.0))
-    return data
-
-
-def e_part(lam, n, method="auto"):
-    """The strictly-lower comparison matrix E_lambda at truncation n.
-
-    Row 1 and the diagonal are identically zero.  For real lambda = 1/alpha
-    with 0 < alpha < 1 all entries are nonnegative, since every factor
-    1 - alpha/k is positive.
-
-    Parameters
-    ----------
-    method : "auto", "direct" or "log"
-        "auto" uses direct products up to LOG_DOMAIN_THRESHOLD and the log
-        domain beyond; the explicit values force one path (used in tests).
-    """
-    lam = complex(lam)
-    if n < 1:
-        raise InvalidDimensionError(f"size must be >= 1, got {n}")
-    _require_off_sigma_zero(lam)
-    if method == "auto":
-        method = "direct" if n <= LOG_DOMAIN_THRESHOLD else "log"
-    with np.errstate(over="ignore", invalid="ignore"):
-        # entries beyond double range surface as a located error below
-        if method == "direct":
-            data = _e_data_direct(lam, n)
-        elif method == "log":
-            data = _e_data_log(lam, n)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    bad = ~np.isfinite(data.view(np.float64))
-    if bad.any():
-        flat = int(np.flatnonzero(bad)[0] // 2)
-        # recover 1-based (row, col) from the packed position
-        i = int((np.sqrt(8.0 * flat + 1) - 1) // 2)
-        raise ProductOverflowError(i + 1, flat - i * (i + 1) // 2 + 1)
-    return LowerTriangularMatrix(n, data)
-
-
 def _check_diagonal_bound(lam, d_diag, gamma):
     """Every |d_kk| is at most 1/gamma, up to a few ulps of rounding."""
     bound = (1.0 + _DIAG_BOUND_ULPS * np.finfo(np.float64).eps) / gamma
@@ -237,59 +166,6 @@ def _check_diagonal_bound(lam, d_diag, gamma):
             f"diagonal entry d_{k + 1} = {d_diag[k]} at lambda={lam} exceeds "
             f"the bound 1/gamma = {1.0 / gamma:.17g}"
         )
-
-
-class ResolventParts:
-    """lambda with its derived quantities and both resolvent pieces.
-
-    Bundles alpha = Re(1/lambda), gamma = dist(lambda, poles), the diagonal
-    entries and the strictly-lower matrix, ready to be assembled into
-    diag - (1/lambda^2) E.
-    """
-
-    __slots__ = ("lam", "alpha", "gamma", "size", "d_diag", "e_matrix")
-
-    def __init__(self, lam, alpha, gamma, size, d_diag, e_matrix):
-        if not gamma > 0:
-            raise LambdaInSigmaZeroError(lam, gamma, nearest_pole(lam)[0])
-        if e_matrix.n != size or d_diag.shape != (size,):
-            raise InvalidDimensionError("resolvent parts sizes disagree")
-        offs = row_offsets(size)
-        if np.any(e_matrix.data[offs + np.arange(size)] != 0) or np.any(
-            e_matrix.data[:1] != 0
-        ):
-            raise ValueError("e_matrix must have zero diagonal and zero first row")
-        _check_diagonal_bound(lam, d_diag, gamma)
-        self.lam = lam
-        self.alpha = alpha
-        self.gamma = gamma
-        self.size = size
-        self.d_diag = d_diag
-        self.e_matrix = e_matrix
-
-    def assemble(self):
-        """diag(d) - (1/lambda^2) E as a packed matrix."""
-        data = self.e_matrix.data * (-1.0 / self.lam**2)
-        data[row_offsets(self.size) + np.arange(self.size)] = self.d_diag
-        return LowerTriangularMatrix(self.size, data)
-
-
-def resolvent_parts(lam, n, method="auto"):
-    lam = complex(lam)
-    dist = _require_off_sigma_zero(lam)
-    return ResolventParts(
-        lam,
-        alpha_of(lam),
-        dist,
-        n,
-        diagonal_part(lam, n),
-        e_part(lam, n, method=method),
-    )
-
-
-def resolvent_matrix(lam, n, method="auto"):
-    """The inverse of the n x n section of (C - lambda I), in closed form."""
-    return resolvent_parts(lam, n, method=method).assemble()
 
 
 def _carried_sums(z, starts, ratios, reverse=False):
@@ -414,8 +290,8 @@ def _blocked_products(f, log_abs):
 def _first_overflow(log_prefix, n):
     """1-based (row, col) of the first non-finite entry of E, or None.
 
-    An entry is evaluated as e_part's log path does, exp(log F_{m-1} -
-    log F_n - log n).  A running maximum of Re log F bounds each row's
+    An entry is evaluated in the log domain, exp(log F_{m-1} - log F_n -
+    log n).  A running maximum of Re log F bounds each row's
     largest entry, so only rows that come within a factor e of the double
     range are evaluated.
     """
@@ -435,27 +311,55 @@ def _first_overflow(log_prefix, n):
     return None
 
 
-def resolvent_operator(lam, n):
-    """The closed-form resolvent of the n x n section as a GeneratorMatrix.
+def _generator_factors(lam, n):
+    """The factors f_k and the blocked prefix products F_0..F_{n-1} of E.
 
-    The same matrix as :func:`resolvent_matrix` in O(n) storage: the
-    diagonal d and, for m < n, the entry a_n b_m with a_n =
-    -1/(lambda^2 n F_n) and b_m = F_{m-1}.  An entry of E whose log-domain
-    value is not finite raises ProductOverflowError at its (row, col), as
-    e_part does.
+    Returns ``(f, v, starts, ratios)``: v holds F_{k-1} in the scale of
+    index k (see :class:`GeneratorMatrix`).  Raises ProductOverflowError at
+    the (row, col) of the first entry of E whose log-domain value is not
+    finite, and UnsupportedParameterError when lambda^2 is not.
     """
-    lam = complex(lam)
     if n < 1:
         raise InvalidDimensionError(f"size must be >= 1, got {n}")
-    dist = _require_off_sigma_zero(lam)
-    d = diagonal_part(lam, n)
-    _check_diagonal_bound(lam, d, dist)
+    _require_off_sigma_zero(lam)
+    if not cmath.isfinite(lam * lam):
+        raise UnsupportedParameterError(
+            f"lambda={lam} is too large: lambda^2 is not a finite double"
+        )
     f = _factor_sequence(lam, n)
     log_prefix = np.concatenate(([0.0j], np.cumsum(np.log(f))))  # log F_0..F_n
     located = _first_overflow(log_prefix, n)
     if located is not None:
         raise ProductOverflowError(*located)
     v, starts, ratios = _blocked_products(f, log_prefix.real)
+    return f, v, starts, ratios
+
+
+def comparison_operator(lam, n):
+    """The strictly-lower comparison matrix E_lambda of size n as a GeneratorMatrix.
+
+    Zero diagonal, and for m < n the entry u_n v_m with u_n = 1/(n F_n)
+    and v_m = F_{m-1}; row 1 is identically zero.  For real lambda =
+    1/alpha with 0 < alpha < 1 all entries are nonnegative, since every
+    factor 1 - alpha/k is positive.
+    """
+    lam = complex(lam)
+    f, v, starts, ratios = _generator_factors(lam, n)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    u = 1.0 / (k * (v * f))
+    return GeneratorMatrix(np.zeros(n, dtype=np.complex128), u, v, starts, ratios)
+
+
+def resolvent_operator(lam, n):
+    """The closed-form resolvent diag(d) - (1/lambda^2) E of the n x n section.
+
+    A GeneratorMatrix: the diagonal d and, for m < n, the entry a_n b_m
+    with a_n = -1/(lambda^2 n F_n) and b_m = F_{m-1}, in O(n) storage.
+    """
+    lam = complex(lam)
+    f, v, starts, ratios = _generator_factors(lam, n)
+    d = diagonal_part(lam, n)
+    _check_diagonal_bound(lam, d, gamma(lam))
     # a_i in the scale of index i: F_{i+1} = F_i f_{i+1} there
     k = np.arange(1, n + 1, dtype=np.float64)
     u = -1.0 / (lam**2 * k * (v * f))
@@ -472,29 +376,10 @@ def residual(lam, n):
     exact arithmetic would give zero.
     """
     lam = complex(lam)
-    R = resolvent_matrix(lam, n).dense()
+    R = resolvent_operator(lam, n).dense()
     A = cesaro_matrix(n).dense()
     A[np.diag_indices(n)] -= lam
     eye = np.eye(n)
     size = lambda M: np.linalg.norm(M, np.inf)
     deviation = max(size(A @ R - eye), size(R @ A - eye))
     return float(deviation / (size(A) * size(R)))
-
-
-def g_matrix(alpha, n):
-    """Comparison matrix with entries r^(alpha-1) m^(-alpha) for m <= r.
-
-    At alpha = 0 this is exactly the averaging matrix.  Dominates the
-    modulus of E_lambda up to a constant whenever Re(1/lambda) = alpha < 1.
-    """
-    alpha = float(alpha)
-    if alpha >= 1.0:
-        raise UnsupportedParameterError(f"requires alpha < 1, got {alpha}")
-    if n < 1:
-        raise InvalidDimensionError(f"size must be >= 1, got {n}")
-    mpow = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
-    data = np.empty(n * (n + 1) // 2, dtype=np.complex128)
-    for i in range(n):
-        off = i * (i + 1) // 2
-        data[off : off + i + 1] = (i + 1.0) ** (alpha - 1.0) * mpow[: i + 1]
-    return LowerTriangularMatrix(n, data)

@@ -19,12 +19,9 @@ from .errors import InvalidDimensionError
 
 __all__ = [
     "LowerTriangularMatrix",
-    "RegularSplit",
     "cesaro_matrix",
     "apply",
-    "compose",
     "modulus",
-    "split_regular",
     "dominates",
     "packed_indices",
 ]
@@ -168,12 +165,6 @@ class LowerTriangularMatrix:
     def abs_col_sums(self):
         return self.modulus().rmatvec(np.ones(self.n)).real
 
-    def leading_block(self, m):
-        """The leading m x m section, itself a packed lower-triangular matrix."""
-        if not (1 <= m <= self.n):
-            raise InvalidDimensionError(f"block size {m} not in [1, {self.n}]")
-        return LowerTriangularMatrix(m, self.data[: _packed_length(m)].copy())
-
     def is_real(self, tol=0.0):
         return bool(np.all(np.abs(self.data.imag) <= tol))
 
@@ -192,35 +183,6 @@ class LowerTriangularMatrix:
 
     def __repr__(self):
         return f"LowerTriangularMatrix(n={self.n})"
-
-
-class RegularSplit:
-    """Four entrywise-nonnegative matrices reconstructing a complex one.
-
-    ``(s - u) + i(v - w)`` equals the source matrix entrywise exactly, and
-    each part is dominated by the modulus matrix of the source.
-    """
-
-    __slots__ = ("s", "u", "v", "w")
-
-    def __init__(self, s, u, v, w):
-        sizes = {s.n, u.n, v.n, w.n}
-        if len(sizes) != 1:
-            raise InvalidDimensionError(f"split parts must share one size, got {sizes}")
-        for name, part in (("s", s), ("u", u), ("v", v), ("w", w)):
-            if not part.is_nonnegative():
-                raise ValueError(f"split part {name} must be real and >= 0")
-        self.s = s
-        self.u = u
-        self.v = v
-        self.w = w
-
-    def reconstruct(self):
-        data = (self.s.data - self.u.data) + 1j * (self.v.data - self.w.data)
-        return LowerTriangularMatrix(self.s.n, data)
-
-    def parts(self):
-        return (self.s, self.u, self.v, self.w)
 
 
 def cesaro_matrix(n):
@@ -245,42 +207,9 @@ def apply(A, x):
     return A.matvec(x)
 
 
-def compose(A, B):
-    """Matrix product A @ B, again lower triangular of the same size.
-
-    Triangularity means the leading n x n block of a product of two larger
-    lower-triangular matrices equals the product of the leading blocks, so
-    composing finite sections is exact.  Evaluated densely; intended for
-    sizes up to a few thousand.
-    """
-    if A.n != B.n:
-        raise InvalidDimensionError(f"size mismatch: {A.n} vs {B.n}")
-    product = A.dense() @ B.dense()
-    rows, cols = packed_indices(A.n)
-    return LowerTriangularMatrix(A.n, product[rows, cols])
-
-
 def modulus(B):
     """The entrywise modulus matrix |B|, the least positive matrix dominating B."""
     return B.modulus()
-
-
-def split_regular(B):
-    """Decompose B = (s - u) + i(v - w) with all four parts entrywise >= 0.
-
-    s, u are the positive/negative parts of Re B and v, w those of Im B.
-    Reconstruction is exact (positive/negative parts subtract back without
-    rounding), and every part is dominated by modulus(B).
-    """
-    re = B.data.real
-    im = B.data.imag
-    make = lambda arr: LowerTriangularMatrix(B.n, arr.astype(np.complex128))
-    return RegularSplit(
-        make(np.maximum(re, 0.0)),
-        make(np.maximum(-re, 0.0)),
-        make(np.maximum(im, 0.0)),
-        make(np.maximum(-im, 0.0)),
-    )
 
 
 def dominates(A, B, tol=DOMINATION_TOLERANCE):

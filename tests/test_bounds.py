@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 from ceslab import (
     UnsupportedParameterError,
     WrongRegimeError,
-    apply,
     beta_estimate,
     check_entry_bounds,
-    e_part,
-    g_matrix,
+    comparison_operator,
     gamma_circle_point,
     product_profile,
     remark41,
-    row_sup_and_column_limits,
 )
-from ceslab.bounds import comparison_matrix_report
+from ceslab.bounds import _row_sums, comparison_matrix_report
 from conftest import sample_lambda
 
 
@@ -62,7 +59,7 @@ class TestBetaEstimate:
             lam = sample_lambda(rng, predicate=lambda z: (1 / z).real < 1)
             N = 60
             alpha = (1 / lam).real
-            E = e_part(lam, N).dense()
+            E = comparison_operator(lam, N).dense()
             n_idx, m_idx = np.tril_indices(N, k=-1)
             n_idx, m_idx = n_idx + 1.0, m_idx + 1.0
             scan = (
@@ -112,7 +109,8 @@ class TestCheckEntryBounds:
         lam = gamma_circle_point(0.5, 1.0)  # the spec's 1/(0.5 + i)
         report = check_entry_bounds(lam, 500, "gamma_56")
         assert report.holds
-        assert e_part(2.0, 500).is_nonnegative()
+        E = comparison_operator(2.0, 500).dense()
+        assert np.all(E.imag == 0) and np.all(E.real >= 0)
 
     def test_gamma56_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
@@ -135,34 +133,46 @@ class TestCheckEntryBounds:
 
 
 class TestRowSupAndColumnLimits:
+    """The comparison matrix r^(alpha-1) m^(-alpha) behind rowsum_46 and
+    collimit_49: its row sums, and its last row as the column-limit proxy."""
+
     def test_alpha_zero_rows_sum_to_one(self):
-        sup, column = row_sup_and_column_limits(0.0, 100)
-        assert sup == 1.0
-        np.testing.assert_allclose(column, np.full(100, 1 / 100), rtol=1e-15)
+        assert _row_sums(0.0, 100).max() == 1.0
+        # rows 50 and 100 are constant, 1/50 and 1/100: every column decays alike
+        report = comparison_matrix_report("collimit_49", 0.0, 100)
+        assert report.worst_margin == pytest.approx(1 / 50 - 1 / 100, rel=1e-15)
 
     def test_alpha_minus_one_closed_form(self):
         # row sums are (r + 1)/(2r), maximal at r = 1
-        sup, _ = row_sup_and_column_limits(-1.0, 1000)
-        assert sup == 1.0
+        assert _row_sums(-1.0, 1000).max() == 1.0
 
     def test_alpha_half_approaches_two(self):
         # sup ~ 2 + zeta(1/2)/sqrt(N) with zeta(1/2) ~ -1.46035
-        sup, column = row_sup_and_column_limits(0.5, 10**4)
+        sup = _row_sums(0.5, 10**4).max()
         assert sup == pytest.approx(2.0 - 1.4603545 / 100.0, abs=1e-3)
         assert sup < 2.0
-        assert column[0] == pytest.approx((10**4) ** (-0.5), rel=1e-12)
+        # the last row is N^(-1/2) m^(-1/2); row N/2 exceeds it least at m = N/2
+        report = comparison_matrix_report("collimit_49", 0.5, 10**4)
+        half = 5000.0
+        expected = (half**-0.5 - (10**4) ** -0.5) * half**-0.5
+        assert report.worst_margin == pytest.approx(expected, rel=1e-12)
+        assert report.witness == (10**4, 5000)
 
     def test_matches_materialized_matrix(self):
         alpha, N = 0.3, 40
-        G = g_matrix(alpha, N)
-        sums = apply(G, np.ones(N)).real
-        sup, column = row_sup_and_column_limits(alpha, N)
-        assert sup == pytest.approx(sums.max(), rel=1e-13)
-        np.testing.assert_allclose(column, G.row(N - 1).real, rtol=1e-13)
+        r = np.arange(1, N + 1, dtype=np.float64)
+        G = np.tril(np.outer(r ** (alpha - 1.0), r**-alpha))
+        np.testing.assert_allclose(_row_sums(alpha, N), G.sum(axis=1), rtol=1e-13)
+        report = comparison_matrix_report("collimit_49", alpha, N)
+        margins = G[N // 2 - 1, : N // 2] - G[N - 1, : N // 2]
+        assert report.worst_margin == pytest.approx(margins.min(), rel=1e-13)
 
     def test_rejects_alpha_at_least_one(self):
-        with pytest.raises(UnsupportedParameterError):
-            row_sup_and_column_limits(1.5, 10)
+        for kind in ("rowsum_46", "collimit_49"):
+            with pytest.raises(WrongRegimeError):
+                comparison_matrix_report(kind, 1.5, 10)
+            with pytest.raises(WrongRegimeError):
+                check_entry_bounds(1.0 / 1.5, 10, kind)
 
 
 class TestComparisonReports:

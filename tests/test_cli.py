@@ -230,3 +230,23 @@ class TestNorms:
         payload = json.loads(capsys.readouterr().out)
         assert payload["spaces"] == ["linf", "ces0"]
         assert payload["norms"][0][0] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestHugeLambda:
+    """lambda^2 overflows: a plain exit-2 error naming lambda, never nan or a traceback."""
+
+    HUGE = "--re-min=1e160 --re-max=1e160 --im-min=1e160 --im-max=1e160".split()
+
+    @pytest.mark.parametrize("space", ["linf", "lp:2"])
+    def test_sweep_exits_two(self, space, capsys):
+        argv = ["sweep", f"--space={space}", *self.HUGE, "--step=1", "--sizes=8,16"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out.lower()
+        assert captured.err.startswith("error: lambda=(1e+160+1e+160j)")
+
+    def test_verify_exits_two(self, capsys):
+        assert main(["verify", "--lambda=-1e200", "--n=8"]) == 2
+        captured = capsys.readouterr()
+        assert "residual" not in captured.out
+        assert captured.err.startswith("error: lambda=(-1e+200")

@@ -1,4 +1,4 @@
-"""The O(n) generator resolvent against the packed matrix and a dense solve.
+"""The O(n) generator resolvent against a log-domain oracle and a dense solve.
 
 Lambdas are drawn from every regime: the left half-plane, the circles
 Re(1/lambda) = alpha (alpha = +-200 included, where F_k over- and
@@ -17,10 +17,10 @@ from ceslab import (
     LowerTriangularMatrix,
     ProductOverflowError,
     cesaro_matrix,
-    e_part,
-    resolvent_matrix,
+    comparison_operator,
 )
 from ceslab.resolvent import GeneratorMatrix, gamma, resolvent_operator
+from conftest import closed_form_resolvent, log_domain_e
 
 EPS = np.finfo(np.float64).eps
 
@@ -45,17 +45,27 @@ lambdas = st.one_of(left_half_plane, on_circle, near_pole).filter(
 sizes = st.integers(1, 80)
 
 
-def _pair(lam, n):
-    """(generator, packed dense) for one lambda, or None when E overflows.
+def _first_nonfinite(lam, n, chunk=128):
+    """1-based (row, col) of the oracle's first non-finite entry of E, or None."""
+    for lo in range(0, n, chunk):
+        bad = ~np.isfinite(log_domain_e(lam, n, range(lo, min(n, lo + chunk))))
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            return lo + int(row) + 1, int(col) + 1
+    return None
 
-    Both constructions must then reject lambda at the same entry.
+
+def _pair(lam, n):
+    """(generator, oracle dense R) for one lambda, or None when E overflows.
+
+    The generator must then reject lambda at the oracle's first non-finite
+    entry.
     """
-    try:
-        R = resolvent_matrix(lam, n).dense()
-    except ProductOverflowError as packed:
+    R = closed_form_resolvent(lam, n)
+    if not np.all(np.isfinite(R)):
         with pytest.raises(ProductOverflowError) as raised:
             resolvent_operator(lam, n)
-        assert (raised.value.row, raised.value.col) == (packed.row, packed.col)
+        assert (raised.value.row, raised.value.col) == _first_nonfinite(lam, n)
         return None
     return resolvent_operator(lam, n), R
 
@@ -66,7 +76,7 @@ def _close(got, want, scale, n):
 
 @settings(max_examples=150, deadline=None)
 @given(lambdas, sizes, st.integers(0, 2**32 - 1))
-def test_products_match_packed_matrix(lam, n, seed):
+def test_products_match_log_domain_oracle(lam, n, seed):
     pair = _pair(lam, n)
     if pair is None:
         return
@@ -130,18 +140,18 @@ def test_large_alpha_blocks_keep_entries_finite():
     x[-2] = 1.0
     y = G.matvec(x)
     assert np.all(np.isfinite(y.view(np.float64)))
-    entry = resolvent_matrix(lam, 3000).entry(2999, 2998)
+    entry = -log_domain_e(lam, 3000, [2999])[0, 2998] / lam**2
     assert y[-1] == pytest.approx(entry, rel=1e-12)
 
 
-def test_overflow_located_like_e_part():
+def test_overflow_located_like_log_domain_oracle():
     lam = 1.0 / complex(1500.0, 1500.0)
-    with pytest.raises(ProductOverflowError) as packed:
-        e_part(lam, 4300)
-    with pytest.raises(ProductOverflowError) as generator:
-        resolvent_operator(lam, 4300)
-    located = (generator.value.row, generator.value.col)
-    assert located == (packed.value.row, packed.value.col)
+    expected = _first_nonfinite(lam, 4300)
+    assert expected is not None
+    for build in (resolvent_operator, comparison_operator):
+        with pytest.raises(ProductOverflowError) as raised:
+            build(lam, 4300)
+        assert (raised.value.row, raised.value.col) == expected
 
 
 def test_packed_matrix_offers_the_same_interface():
@@ -167,9 +177,9 @@ def test_diagonal_bound_is_relative_near_a_pole():
 
 
 def test_diagonal_bound_violation_is_a_ceslab_error():
-    from ceslab.resolvent import ResolventParts, diagonal_part, e_part as e_of
+    from ceslab.resolvent import _check_diagonal_bound, diagonal_part
 
     lam = 2.0 + 1.0j
     d = diagonal_part(lam, 4)
     with pytest.raises(CeslabError, match="d_1"):
-        ResolventParts(lam, 0.4, 1e-3, 4, d * 1e6, e_of(lam, 4))
+        _check_diagonal_bound(lam, d * 1e6, 1e-3)

@@ -5,20 +5,20 @@ from scipy.linalg import solve_triangular
 from ceslab import (
     InvalidDimensionError,
     LambdaInSigmaZeroError,
+    LowerTriangularMatrix,
     UnsupportedParameterError,
-    apply,
     cesaro_matrix,
+    comparison_operator,
     diagonal_part,
     dominates,
-    e_part,
-    g_matrix,
     gamma,
     in_sigma_zero,
-    resolvent_matrix,
-    resolvent_parts,
     residual,
+    resolvent_operator,
 )
-from conftest import random_vector, sample_lambda
+from conftest import log_domain_e, random_vector, sample_lambda
+
+EPS = np.finfo(np.float64).eps
 
 
 def dense_section_inverse(lam, n):
@@ -92,44 +92,51 @@ class TestDiagonalPart:
 
 class TestEPart:
     def test_first_entry_at_minus_one(self):
-        E = e_part(-1.0, 2)
-        assert E.entry(1, 0) == pytest.approx(1 / 6, abs=1e-15)
+        E = comparison_operator(-1.0, 2).dense()
+        assert E[1, 0] == pytest.approx(1 / 6, abs=1e-15)
 
     def test_first_row_and_diagonal_zero(self, rng):
         for _ in range(5):
             lam = sample_lambda(rng)
-            E = e_part(lam, 30)
-            assert E.entry(0, 0) == 0
-            assert all(E.entry(k, k) == 0 for k in range(30))
+            E = comparison_operator(lam, 30).dense()
+            assert np.all(E[0] == 0)
+            assert np.all(np.diag(E) == 0)
+            assert np.all(np.triu(E) == 0)
 
     def test_nonnegative_on_real_axis_right_of_one(self):
         # lambda = 1/alpha with 0 < alpha < 1: every factor 1 - alpha/k > 0
         for alpha in (0.1, 0.5, 0.9):
-            E = e_part(1.0 / alpha, 60)
-            assert E.is_nonnegative()
+            E = comparison_operator(1.0 / alpha, 60).dense()
+            assert np.all(E.imag == 0) and np.all(E.real >= 0)
 
     def test_dominated_by_cesaro_on_left_region(self, rng):
         # |e_nm| <= 1/n whenever Re(1/lambda) <= 0
         for _ in range(5):
             lam = sample_lambda(rng, predicate=lambda z: (1 / z).real <= 0)
-            assert dominates(cesaro_matrix(40), e_part(lam, 40))
+            E = LowerTriangularMatrix.from_dense(comparison_operator(lam, 40).dense())
+            assert dominates(cesaro_matrix(40), E)
 
     def test_direct_and_log_paths_agree(self):
-        for lam in (-1.0 + 0j, 2 + 1j, 0.3 + 0.4j):
-            direct = e_part(lam, 120, method="direct")
-            logged = e_part(lam, 120, method="log")
-            np.testing.assert_allclose(logged.data, direct.data, rtol=1e-11, atol=1e-16)
+        # the generator multiplies its factors out directly; the oracle sums
+        # their logs
+        for lam, n, rtol in (
+            (-1.0 + 0j, 120, 1e-11),
+            (2 + 1j, 120, 1e-11),
+            (0.3 + 0.4j, 120, 1e-11),
+        ):
+            E = comparison_operator(lam, n).dense()
+            np.testing.assert_allclose(E, log_domain_e(lam, n), rtol=rtol, atol=1e-300)
 
     def test_auto_switches_to_log_above_threshold(self):
-        # same values either side of the switch, up to path rounding
+        # sizes that once needed log-domain evaluation: the blocked direct
+        # products still match the log-domain oracle, up to path rounding
         lam = 1.5 + 0.5j
-        auto = e_part(lam, 600)
-        direct = e_part(lam, 600, method="direct")
-        np.testing.assert_allclose(auto.data, direct.data, rtol=1e-10, atol=1e-300)
+        E = comparison_operator(lam, 600).dense()
+        np.testing.assert_allclose(E, log_domain_e(lam, 600), rtol=1e-10, atol=1e-300)
 
     def test_refuses_pole_shadow(self):
         with pytest.raises(LambdaInSigmaZeroError):
-            e_part(0.25, 8)
+            comparison_operator(0.25, 8)
 
     def test_overflow_reported_with_location(self):
         # Re(1/lambda) = 1500: entries grow past double range around n ~ 4e3
@@ -137,8 +144,14 @@ class TestEPart:
 
         lam = 1.0 / complex(1500.0, 1500.0)
         with pytest.raises(ProductOverflowError) as info:
-            e_part(lam, 4300)
+            comparison_operator(lam, 4300)
         assert 1 <= info.value.col < info.value.row <= 4300
+
+    @pytest.mark.parametrize("lam", [1e160 + 1e160j, -1e200, 3e154j])
+    def test_rejects_lambda_whose_square_overflows(self, lam):
+        for build in (comparison_operator, resolvent_operator):
+            with pytest.raises(UnsupportedParameterError, match="lambda="):
+                build(lam, 8)
 
     def test_reference_point_identity(self):
         # on the level curve Re(1/lambda) = alpha the comparison matrix at the
@@ -147,33 +160,38 @@ class TestEPart:
         alpha = 0.4
         lam = 1.0 / alpha
         n = 30
-        E = e_part(lam, n).dense()
+        E = comparison_operator(lam, n).dense()
         D = np.diag(diagonal_part(lam, n))
-        R = resolvent_matrix(lam, n).dense()
+        R = resolvent_operator(lam, n).dense()
         np.testing.assert_allclose((D - R) / alpha**2, E, rtol=0, atol=1e-14)
 
 
 class TestResolventMatrix:
     def test_hand_inverse_two_by_two(self):
         # oracle: [[2, 0], [1/2, 3/2]]^(-1) = [[1/2, 0], [-1/6, 2/3]]
-        R = resolvent_matrix(-1.0, 2)
+        R = resolvent_operator(-1.0, 2)
         expected = np.array([[0.5, 0.0], [-1 / 6, 2 / 3]])
         np.testing.assert_allclose(R.dense(), expected, rtol=0, atol=1e-15)
 
     def test_size_one(self):
-        np.testing.assert_array_equal(resolvent_matrix(2.0, 1).dense(), [[-1.0]])
+        np.testing.assert_array_equal(resolvent_operator(2.0, 1).dense(), [[-1.0]])
 
     def test_assembly_identity_exact(self):
+        # R = diag(d) - E/lambda^2: the diagonal is d exactly; below it R and
+        # E share the factors F_{m-1} and differ only in where 1/lambda^2
+        # is rounded in
         lam = 1 + 2j
-        parts = resolvent_parts(lam, 50)
-        manual = parts.e_matrix.data * (-1.0 / lam**2)
-        manual[np.cumsum(np.arange(50) + 1) - 1] = parts.d_diag
-        np.testing.assert_array_equal(resolvent_matrix(lam, 50).data, manual)
+        R = resolvent_operator(lam, 50).dense()
+        d = diagonal_part(lam, 50)
+        E = comparison_operator(lam, 50).dense()
+        np.testing.assert_array_equal(np.diag(R), d)
+        manual = np.diag(d) - E / lam**2
+        assert np.all(np.abs(R - manual) <= 4 * EPS * np.abs(R))
 
     def test_matches_triangular_solve_oracle(self, rng):
         for _ in range(5):
             lam = sample_lambda(rng)
-            R = resolvent_matrix(lam, 128).dense()
+            R = resolvent_operator(lam, 128).dense()
             oracle = dense_section_inverse(lam, 128)
             scale = np.abs(R).max()
             assert np.abs(R - oracle).max() <= 1e-9 * scale
@@ -181,11 +199,12 @@ class TestResolventMatrix:
     def test_action_decomposes(self, rng):
         # R x = d .* x - (1/lambda^2) E x within 1e-12 relative
         lam = -0.7 + 1.3j
-        parts = resolvent_parts(lam, 80)
+        R = resolvent_operator(lam, 80)
         x = random_vector(rng, 80)
-        direct = apply(parts.assemble(), x)
-        pieces = parts.d_diag * x - apply(parts.e_matrix, x) / lam**2
-        np.testing.assert_allclose(direct, pieces, rtol=1e-12)
+        pieces = (
+            diagonal_part(lam, 80) * x - comparison_operator(lam, 80).matvec(x) / lam**2
+        )
+        np.testing.assert_allclose(R.matvec(x), pieces, rtol=1e-12)
 
 
 class TestResidual:
@@ -203,16 +222,3 @@ class TestResidual:
         for _ in range(10):
             lam = sample_lambda(rng)
             assert residual(lam, 128) <= 1e-10
-
-
-class TestGMatrix:
-    def test_alpha_zero_is_cesaro(self):
-        G = g_matrix(0.0, 12)
-        np.testing.assert_array_equal(G.data, cesaro_matrix(12).data)
-
-    def test_half_power_entry(self):
-        assert g_matrix(0.5, 4).entry(3, 0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_rejects_alpha_at_least_one(self):
-        with pytest.raises(UnsupportedParameterError):
-            g_matrix(1.0, 5)

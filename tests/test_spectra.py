@@ -24,7 +24,7 @@ from ceslab import (
     operator_norm_estimate,
     operator_norm_report,
     regular_norm_estimate,
-    resolvent_matrix,
+    resolvent_operator,
     spectrum_disk,
     sweep,
 )
@@ -176,7 +176,7 @@ class TestRegularNorm:
             assert operator_norm_estimate(space, D) == pytest.approx(1.0, rel=1e-14)
 
     def test_resolvent_regular_at_least_operator(self):
-        R = resolvent_matrix(-1.0, 64)
+        R = resolvent_operator(-1.0, 64)
         op = operator_norm_estimate(lp(2), R)
         reg = regular_norm_estimate(lp(2), R)
         assert op <= reg + 1e-9

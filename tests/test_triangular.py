@@ -1,24 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ceslab import (
     InvalidDimensionError,
     LowerTriangularMatrix,
     apply,
     cesaro_matrix,
-    compose,
     dominates,
     modulus,
-    split_regular,
 )
 from conftest import random_triangular, random_vector
-
-finite_complex = st.complex_numbers(
-    max_magnitude=1e6, allow_nan=False, allow_infinity=False
-)
-
 
 class TestConstruction:
     def test_zero_size_rejected(self):
@@ -89,32 +80,6 @@ class TestApply:
         np.testing.assert_allclose(apply(A, x), A.dense() @ x, rtol=1e-13)
 
 
-class TestCompose:
-    def test_identity_neutral(self, rng):
-        A = random_triangular(rng, 6)
-        assert compose(LowerTriangularMatrix.identity(6), A) == A
-
-    def test_two_by_two_example(self):
-        D = LowerTriangularMatrix.diagonal([1.0, 2.0])
-        P = compose(cesaro_matrix(2), D)
-        np.testing.assert_array_equal(P.dense(), [[1.0, 0.0], [0.5, 1.0]])
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(InvalidDimensionError):
-            compose(random_triangular(rng, 3), random_triangular(rng, 4))
-
-    def test_truncation_exactness(self, rng):
-        # exact in exact arithmetic; matmul reorders sums, hence the eps slack
-        for _ in range(5):
-            A = random_triangular(rng, 12)
-            B = random_triangular(rng, 12)
-            full = compose(A, B).leading_block(5)
-            blocks = compose(A.leading_block(5), B.leading_block(5))
-            np.testing.assert_allclose(
-                full.data, blocks.data, rtol=0, atol=1e-13 * full.max_abs()
-            )
-
-
 class TestModulus:
     def test_positive_matrix_fixed(self):
         C = cesaro_matrix(4)
@@ -133,46 +98,6 @@ class TestModulus:
             lhs = np.abs(apply(B, x))
             rhs = apply(modulus(B), np.abs(x)).real
             assert np.all(lhs <= rhs + 1e-12 * rhs.max())
-
-
-class TestSplitRegular:
-    def test_real_positive_matrix(self):
-        C = cesaro_matrix(3)
-        parts = split_regular(C)
-        assert parts.s == C
-        assert parts.u.max_abs() == parts.v.max_abs() == parts.w.max_abs() == 0
-
-    def test_single_entry_example(self):
-        B = LowerTriangularMatrix(2, np.array([0.0, -3.0 + 4.0j, 0.0]))
-        parts = split_regular(B)
-        assert parts.s.entry(1, 0) == 0
-        assert parts.u.entry(1, 0) == 3
-        assert parts.v.entry(1, 0) == 4
-        assert parts.w.entry(1, 0) == 0
-        # every part below the modulus: max part 4 <= |b| = 5
-        assert dominates(modulus(B), parts.v)
-
-    @given(st.lists(finite_complex, min_size=1, max_size=21))
-    @settings(max_examples=50, deadline=None)
-    def test_reconstruction_exact(self, entries):
-        n = int((np.sqrt(8 * len(entries) + 1) - 1) // 2)
-        if n < 1:
-            return
-        B = LowerTriangularMatrix(n, np.array(entries[: n * (n + 1) // 2]))
-        parts = split_regular(B)
-        assert parts.reconstruct() == B
-        for part in parts.parts():
-            assert part.is_nonnegative()
-            assert dominates(modulus(B), part, tol=0.0)
-
-    def test_parts_inherit_domination(self, rng):
-        # A >= |B| entrywise carries over to the four split parts
-        for _ in range(5):
-            B = random_triangular(rng, 10)
-            A = LowerTriangularMatrix(10, modulus(B).data + 0.5)
-            assert dominates(A, B)
-            for part in split_regular(B).parts():
-                assert dominates(A, part)
 
 
 class TestDominates:
