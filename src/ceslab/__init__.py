@@ -28,7 +28,6 @@ from .errors import (
 )
 from .multiplication import diag_norm_equality_check, diag_operator, diag_spectrum
 from .resolvent import (
-    GeneratorMatrix,
     comparison_operator,
     diagonal_part,
     gamma,
@@ -52,13 +51,7 @@ from .spectra import (
     spectrum_disk,
     sweep,
 )
-from .triangular import (
-    LowerTriangularMatrix,
-    apply,
-    cesaro_matrix,
-    dominates,
-    modulus,
-)
+from .triangular import LowerTriangularMatrix, apply, cesaro_matrix
 
 __version__ = "0.1.0"
 
@@ -66,8 +59,6 @@ __all__ = [
     "LowerTriangularMatrix",
     "cesaro_matrix",
     "apply",
-    "modulus",
-    "dominates",
     "Space",
     "lp",
     "linf",
@@ -82,7 +73,6 @@ __all__ = [
     "diagonal_part",
     "comparison_operator",
     "resolvent_operator",
-    "GeneratorMatrix",
     "residual",
     "ProductProfile",
     "BoundReport",

@@ -34,6 +34,7 @@ __all__ = [
     "ProductProfile",
     "BoundReport",
     "product_profile",
+    "profile_report",
     "beta_estimate",
     "check_entry_bounds",
     "comparison_matrix_report",
@@ -108,6 +109,35 @@ def product_profile(lam, N):
     logpi = np.cumsum(np.log(np.abs(_factor_sequence(lam, N))))
     logn = np.log(np.arange(1, N + 1, dtype=np.float64))
     return ProductProfile(lam, alpha, np.exp(logpi), np.exp(alpha * logn + logpi))
+
+
+def profile_report(lam, n):
+    """The band test of the profile n^alpha pi_n up to n, as a JSON-ready dict.
+
+    The profile holds when it is positive and, from the end of its first
+    tenth on, stays within [0.9 p0, 1.1 q0], where p0 and q0 are its
+    extrema over that first tenth; ``worst_margin`` is the smaller
+    distance to the band's two edges.
+    """
+    lam = complex(lam)
+    if n < 2:
+        raise UnsupportedParameterError(f"the profile band test needs n >= 2, got {n}")
+    profile = product_profile(lam, n)
+    head = max(2, n // 10)
+    p0 = float(profile.scaled[:head].min())
+    q0 = float(profile.scaled[:head].max())
+    tail = profile.scaled[head - 1 :]
+    margin = min(float(tail.min()) - 0.9 * p0, 1.1 * q0 - float(tail.max()))
+    return {
+        "kind": "profile_38",
+        "lambda_re": lam.real,
+        "lambda_im": lam.imag,
+        "n_max": n,
+        "p_hat": profile.p_hat,
+        "q_hat": profile.q_hat,
+        "holds": bool(profile.p_hat > 0 and margin >= 0),
+        "worst_margin": margin,
+    }
 
 
 def beta_estimate(lam, N):

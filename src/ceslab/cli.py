@@ -22,7 +22,7 @@ from .bounds import (
     check_entry_bounds,
     comparison_matrix_report,
     gamma_circle_point,
-    product_profile,
+    profile_report,
     remark41,
 )
 from .errors import (
@@ -120,25 +120,6 @@ def _cmd_verify(args):
 # bounds
 
 
-def _profile_report(lam, n):
-    profile = product_profile(lam, n)
-    head = max(2, n // 10)
-    p0 = float(profile.scaled[:head].min())
-    q0 = float(profile.scaled[:head].max())
-    tail = profile.scaled[head - 1 :]
-    margin = min(float(tail.min()) - 0.9 * p0, 1.1 * q0 - float(tail.max()))
-    return {
-        "kind": "profile_38",
-        "lambda_re": lam.real,
-        "lambda_im": lam.imag,
-        "n_max": n,
-        "p_hat": profile.p_hat,
-        "q_hat": profile.q_hat,
-        "holds": bool(profile.p_hat > 0 and margin >= 0),
-        "worst_margin": margin,
-    }
-
-
 def _remark41_report(lam, b):
     inside, outside = remark41(lam, b)
     return {
@@ -162,7 +143,7 @@ def _cmd_bounds(args):
     elif kind == "profile_38":
         if args.lam is None:
             raise InvalidConfigError("profile_38 needs --lambda")
-        report = _profile_report(parse_complex(args.lam), args.n)
+        report = profile_report(parse_complex(args.lam), args.n)
     elif kind in ("rowsum_46", "collimit_49") and args.lam is None:
         if args.alpha is None:
             raise InvalidConfigError(f"kind {kind} needs --lambda or --alpha")

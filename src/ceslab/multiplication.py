@@ -3,7 +3,7 @@
 A bounded multiplier acts coordinatewise, its matrix is diagonal and its
 spectrum at finite truncation is simply the set of diagonal values.  The
 operator norm and the regular norm of a multiplier agree, because the
-constant multiple max|phi_k| of the identity already dominates it.
+constant multiple max|phi_k| of the identity is already a majorant of it.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import NormOptions, operator_norm_report
-from .triangular import LowerTriangularMatrix, modulus
+from .triangular import LowerTriangularMatrix
 
 __all__ = [
     "diag_operator",
@@ -25,7 +25,9 @@ EQUALITY_TOLERANCE = 1e-12
 
 def diag_operator(phi):
     """The diagonal matrix of the multiplier sequence phi."""
-    return LowerTriangularMatrix.diagonal(np.asarray(phi, dtype=np.complex128))
+    phi = np.asarray(phi, dtype=np.complex128)
+    zero = np.zeros(phi.shape)
+    return LowerTriangularMatrix(phi, zero, zero)
 
 
 def diag_spectrum(phi):
@@ -61,7 +63,7 @@ def diag_norm_equality_check(space, phi, opts=None, tol=EQUALITY_TOLERANCE):
     opts = opts or NormOptions()
     A = diag_operator(phi)
     op = operator_norm_report(space, A, opts).value
-    reg = operator_norm_report(space, modulus(A), opts).value
+    reg = operator_norm_report(space, A.modulus(), opts).value
     max_mod = float(np.abs(phi).max()) if phi.size else 0.0
     difference = abs(op - reg)
     matches = None

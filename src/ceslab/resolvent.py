@@ -13,10 +13,11 @@ so every identity here can be checked by plain matrix arithmetic.
 The strict lower part is separable: with F_k = prod_{j<=k} (1 - 1/(j lambda))
 the entry e_nm equals F_{m-1} / (n F_n).  Both E (:func:`comparison_operator`)
 and R (:func:`resolvent_operator`) are built from these factor sequences
-only, as a :class:`GeneratorMatrix`: F_k is kept as mantissas times one
-scale per block of indices, so the factors stay finite where the n^(+-alpha)
-growth of F_k over- or underflows, and products with the matrix, its adjoint
-and its modulus cost O(n) time and memory.
+only, in the generator form of
+:class:`~ceslab.triangular.LowerTriangularMatrix`: F_k is kept as mantissas
+times one scale per block of indices, so the factors stay finite where the
+n^(+-alpha) growth of F_k over- or underflows, and products with the matrix,
+its adjoint and its modulus cost O(n) time and memory.
 """
 
 import cmath
@@ -30,7 +31,7 @@ from .errors import (
     ProductOverflowError,
     UnsupportedParameterError,
 )
-from .triangular import cesaro_matrix
+from .triangular import LowerTriangularMatrix, cesaro_matrix
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -39,7 +40,6 @@ __all__ = [
     "in_sigma_zero",
     "alpha_of",
     "diagonal_part",
-    "GeneratorMatrix",
     "comparison_operator",
     "resolvent_operator",
     "residual",
@@ -168,97 +168,6 @@ def _check_diagonal_bound(lam, d_diag, gamma):
         )
 
 
-def _carried_sums(z, starts, ratios, reverse=False):
-    """Exclusive running sums of z along axis 0, carried across scale blocks.
-
-    Forward, out[i] = sum over j < i of z_j; with ``reverse``, out[j] = sum
-    over i > j of z_i.  Each block holds its terms in its own scale, so a
-    carry entering block q is multiplied by ratios[q] (forward) or by
-    ratios[q + 1] (reverse), both exp(shift_{q-1} - shift_q) for the pair
-    of blocks crossed.
-    """
-    out = np.empty_like(z)
-    ends = starts[1:] + (z.shape[0],)
-    order = range(len(starts) - 1, -1, -1) if reverse else range(len(starts))
-    for q in order:
-        seg, dst = z[starts[q] : ends[q]], out[starts[q] : ends[q]]
-        if reverse:
-            seg, dst = seg[::-1], dst[::-1]
-        np.cumsum(seg[:-1], axis=0, out=dst[1:])
-        if q == order[0]:
-            dst[0] = 0.0
-        else:
-            carry = carry * ratios[q + 1 if reverse else q]
-            dst[0] = carry
-            dst[1:] += carry
-        carry = dst[-1] + seg[-1]
-    return out
-
-
-class GeneratorMatrix:
-    """Lower-triangular matrix: a diagonal plus a separable strict lower part.
-
-    Entry (i, j) with j < i (0-based) is u_i v_j exp(shift_b(j) - shift_b(i)),
-    where b(k) is the block holding index k: blocks start at ``starts``, and
-    ``ratios[q]`` = exp(shift_{q-1} - shift_q) rescales a running sum that
-    enters block q.  Storing the factors per block keeps them finite where
-    the products they stand for over- or underflow.  Every product with the
-    matrix, its adjoint or its modulus is a running sum: O(n) time and
-    memory.  Instances are immutable.
-    """
-
-    __slots__ = ("n", "d", "u", "v", "starts", "ratios")
-
-    def __init__(self, d, u, v, starts=(0,), ratios=(1.0,)):
-        self.n = int(d.shape[0])
-        self.d = d
-        self.u = u
-        self.v = v
-        self.starts = tuple(starts)
-        self.ratios = tuple(ratios)
-
-    def matvec(self, x):
-        """The product A x; ``x`` is a vector or an (n, k) block of columns."""
-        x = np.asarray(x)
-        col = (lambda a: a[:, None]) if x.ndim == 2 else (lambda a: a)
-        y = col(self.u) * _carried_sums(col(self.v) * x, self.starts, self.ratios)
-        y += col(self.d) * x
-        return y
-
-    def rmatvec(self, y):
-        """The adjoint product A* y; ``y`` is a vector or an (n, k) block."""
-        y = np.asarray(y)
-        col = (lambda a: a[:, None]) if y.ndim == 2 else (lambda a: a)
-        z = col(self.u).conj() * y
-        x = _carried_sums(z, self.starts, self.ratios, reverse=True)
-        x *= col(self.v).conj()
-        x += col(self.d).conj() * y
-        return x
-
-    def modulus(self):
-        """The entrywise modulus |A|, again in generator form."""
-        return GeneratorMatrix(
-            np.abs(self.d), np.abs(self.u), np.abs(self.v), self.starts, self.ratios
-        )
-
-    def abs_row_sums(self):
-        return self.modulus().matvec(np.ones(self.n))
-
-    def abs_col_sums(self):
-        return self.modulus().rmatvec(np.ones(self.n))
-
-    def dense(self):
-        """The dense (n, n) array: the product with I, all columns at once."""
-        return self.matvec(np.eye(self.n))
-
-    def is_real(self):
-        factors = (self.d, self.u, self.v)
-        return not any(np.iscomplexobj(a) and np.any(a.imag) for a in factors)
-
-    def __repr__(self):
-        return f"GeneratorMatrix(n={self.n}, blocks={len(self.starts)})"
-
-
 def _blocked_products(f, log_abs):
     """Prefix products F_k = f_1 ... f_k, k = 0..n-1, as blocked mantissas.
 
@@ -315,7 +224,7 @@ def _generator_factors(lam, n):
     """The factors f_k and the blocked prefix products F_0..F_{n-1} of E.
 
     Returns ``(f, v, starts, ratios)``: v holds F_{k-1} in the scale of
-    index k (see :class:`GeneratorMatrix`).  Raises ProductOverflowError at
+    index k (see :class:`LowerTriangularMatrix`).  Raises ProductOverflowError at
     the (row, col) of the first entry of E whose log-domain value is not
     finite, and UnsupportedParameterError when lambda^2 is not.
     """
@@ -336,7 +245,7 @@ def _generator_factors(lam, n):
 
 
 def comparison_operator(lam, n):
-    """The strictly-lower comparison matrix E_lambda of size n as a GeneratorMatrix.
+    """The strictly-lower comparison matrix E_lambda of size n, in generator form.
 
     Zero diagonal, and for m < n the entry u_n v_m with u_n = 1/(n F_n)
     and v_m = F_{m-1}; row 1 is identically zero.  For real lambda =
@@ -347,13 +256,13 @@ def comparison_operator(lam, n):
     f, v, starts, ratios = _generator_factors(lam, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     u = 1.0 / (k * (v * f))
-    return GeneratorMatrix(np.zeros(n, dtype=np.complex128), u, v, starts, ratios)
+    return LowerTriangularMatrix(np.zeros(n, dtype=np.complex128), u, v, starts, ratios)
 
 
 def resolvent_operator(lam, n):
     """The closed-form resolvent diag(d) - (1/lambda^2) E of the n x n section.
 
-    A GeneratorMatrix: the diagonal d and, for m < n, the entry a_n b_m
+    In generator form: the diagonal d and, for m < n, the entry a_n b_m
     with a_n = -1/(lambda^2 n F_n) and b_m = F_{m-1}, in O(n) storage.
     """
     lam = complex(lam)
@@ -363,7 +272,7 @@ def resolvent_operator(lam, n):
     # a_i in the scale of index i: F_{i+1} = F_i f_{i+1} there
     k = np.arange(1, n + 1, dtype=np.float64)
     u = -1.0 / (lam**2 * k * (v * f))
-    return GeneratorMatrix(d, u, v, starts, ratios)
+    return LowerTriangularMatrix(d, u, v, starts, ratios)
 
 
 def residual(lam, n):
@@ -377,7 +286,7 @@ def residual(lam, n):
     """
     lam = complex(lam)
     R = resolvent_operator(lam, n).dense()
-    A = cesaro_matrix(n).dense()
+    A = cesaro_matrix(n).dense().astype(np.complex128)
     A[np.diag_indices(n)] -= lam
     eye = np.eye(n)
     size = lambda M: np.linalg.norm(M, np.inf)

@@ -133,8 +133,8 @@ def norm(space, x):
     """Evaluate the norm of ``space`` on a finite vector.
 
     ces(p) and ces(0) are evaluated through the running-average recursion
-    (cumulative sums), which agrees with applying the packed averaging
-    matrix up to roundoff.
+    (cumulative sums), which agrees with applying the averaging matrix up
+    to roundoff.
     """
     x = _as_finite_vector(x)
     if x.shape[0] == 0:

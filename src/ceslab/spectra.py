@@ -17,12 +17,12 @@ a dense SVD.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
-``abs_col_sums()``, ``is_real()`` and ``dense()``.  Both the packed
-:class:`~ceslab.triangular.LowerTriangularMatrix` and the O(n)
-:class:`~ceslab.resolvent.GeneratorMatrix` provide it; the sweep engine
-feeds the latter, so it stores a resolvent densely only where that is
-faster or needed: the dense SVD up to the cutoff, the ascents up to
-DENSE_PRODUCTS_MAX, and the ces(0) column scan.
+``abs_col_sums()``, ``is_real()`` and ``dense()``, which the generator
+form of :class:`~ceslab.triangular.LowerTriangularMatrix` provides at O(n)
+cost per product.  An operator is stored densely only where that is faster:
+the dense SVD up to the cutoff and the ascents up to DENSE_PRODUCTS_MAX.
+The ces(0) column scan forms |A| _COLUMN_BLOCK columns at a time, so it
+needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
 """
 
 import logging
@@ -67,6 +67,9 @@ DISK_TOLERANCE = 1e-12
 # product then beats the few numpy calls of an O(n) running sum (the two
 # cost the same near n = 200 on a 2-CPU Xeon).
 DENSE_PRODUCTS_MAX = 200
+
+# The ces(0) column scan forms this many columns of |A| at a time.
+_COLUMN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -326,9 +329,16 @@ def _ces0_vertex_starts(n):
 def _ces0_column_sup(A):
     # best single-column input: sup_m m * || averages of |A e_m| ||_max,
     # exact over the spike directions m e_m of the ces(0) unit sphere
-    absdense = A.modulus().dense().real
-    col_averages = np.cumsum(absdense, axis=0) / np.arange(1, A.n + 1)[:, None]
-    per_column = col_averages.max(axis=0) * np.arange(1, A.n + 1)
+    absA = A.modulus()
+    rows = np.arange(1, A.n + 1)
+    best_averages = np.empty(A.n)
+    for lo in range(0, A.n, _COLUMN_BLOCK):
+        hi = min(A.n, lo + _COLUMN_BLOCK)
+        columns = np.zeros((A.n, hi - lo))
+        columns[lo:hi] = np.eye(hi - lo)
+        block = absA.matvec(columns).real
+        best_averages[lo:hi] = (np.cumsum(block, axis=0) / rows[:, None]).max(axis=0)
+    per_column = best_averages * rows
     m_best = int(np.argmax(per_column))
     spike = np.zeros(A.n, dtype=np.complex128)
     spike[m_best] = m_best + 1.0

@@ -1,4 +1,4 @@
-"""Exact finite-section algebra of lower-triangular complex matrices.
+"""Lower-triangular matrices in generator form.
 
 Lower-triangular matrices are the universal representation here: the
 averaging operator, its resolvents and every comparison matrix are lower
@@ -7,194 +7,144 @@ matrices depends only on the leading n x n blocks of the factors.  Finite
 sections are therefore exact under composition, which is what makes
 truncation a faithful model.
 
-Storage is packed row-major: row i (0-based) holds i + 1 entries, so a
-matrix of size n keeps n(n+1)/2 complex numbers.  This halves memory and
-keeps sizes around 10^4 workable.
+All of them also share one structure: a diagonal plus a separable strict
+lower part, entry (n, m) = u_n v_m for m < n.  The averaging matrix has
+u_n = 1/n and v_m = 1; the resolvent's comparison matrix E has
+u_n = 1/(n F_n) and v_m = F_{m-1}.  A matrix is stored by these generators
+alone (a semiseparable representation; Vandebril, Van Barel and
+Mastronardi, Matrix Computations and Semiseparable Matrices, 2008), so it
+takes O(n) memory and every product with it is a running sum.
 """
 
 import numpy as np
-from scipy.linalg.blas import ztpmv
 
 from .errors import InvalidDimensionError
 
-__all__ = [
-    "LowerTriangularMatrix",
-    "cesaro_matrix",
-    "apply",
-    "modulus",
-    "dominates",
-    "packed_indices",
-]
-
-# Additive slack for entrywise comparisons: the dominating matrices are
-# themselves float-evaluated, so exact inequalities need a guard.
-DOMINATION_TOLERANCE = 1e-12
+__all__ = ["LowerTriangularMatrix", "cesaro_matrix", "apply"]
 
 
-def _packed_length(n):
-    return n * (n + 1) // 2
+def _carried_sums(z, starts, ratios, reverse=False):
+    """Exclusive running sums of z along axis 0, carried across scale blocks.
 
-
-def row_offsets(n):
-    """Start index of each packed row: offsets[i] = i(i+1)/2."""
-    i = np.arange(n, dtype=np.int64)
-    return i * (i + 1) // 2
-
-
-def packed_indices(n):
-    """(rows, cols) arrays aligned with packed storage, both 0-based.
-
-    Useful for vectorized scans over a whole triangle: entry k of the
-    packed data sits at matrix position (rows[k], cols[k]).
+    Forward, out[i] = sum over j < i of z_j; with ``reverse``, out[j] = sum
+    over i > j of z_i.  Each block holds its terms in its own scale, so a
+    carry entering block q is multiplied by ratios[q] (forward) or by
+    ratios[q + 1] (reverse), both exp(shift_{q-1} - shift_q) for the pair
+    of blocks crossed.
     """
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.arange(1, n + 1))
-    cols = np.arange(_packed_length(n), dtype=np.int64) - row_offsets(n)[rows]
-    return rows, cols
+    out = np.empty_like(z)
+    ends = starts[1:] + (z.shape[0],)
+    order = range(len(starts) - 1, -1, -1) if reverse else range(len(starts))
+    for q in order:
+        seg, dst = z[starts[q] : ends[q]], out[starts[q] : ends[q]]
+        if reverse:
+            seg, dst = seg[::-1], dst[::-1]
+        np.cumsum(seg[:-1], axis=0, out=dst[1:])
+        if q == order[0]:
+            dst[0] = 0.0
+        else:
+            carry = carry * ratios[q + 1 if reverse else q]
+            dst[0] = carry
+            dst[1:] += carry
+        carry = dst[-1] + seg[-1]
+    return out
 
 
 class LowerTriangularMatrix:
-    """A finite n x n complex matrix with zero entries above the diagonal.
+    """Lower-triangular n x n matrix: a diagonal plus a separable strict lower part.
 
-    Entries are stored packed row-major in ``data``; the implicit upper
-    triangle is exactly zero by construction.  Instances are treated as
-    immutable: no method mutates ``data``, and sharing across threads is
-    safe.
+    Entry (i, i) is d_i, and entry (i, j) with j < i (0-based) is
+    u_i v_j exp(shift_b(j) - shift_b(i)), where b(k) is the block holding
+    index k: blocks start at ``starts``, and ``ratios[q]`` =
+    exp(shift_{q-1} - shift_q) rescales a running sum that enters block q.
+    Storing the factors per block keeps them finite where the products they
+    stand for over- or underflow.  Every product with the matrix, its
+    adjoint or its modulus is a running sum: O(n) time and memory.
+    Instances are immutable.
 
     Parameters
     ----------
-    n : int
-        Matrix size, at least 1.
-    data : array-like of complex, length n(n+1)/2
-        Packed rows; every entry must be finite.
+    d, u, v : 1-D arrays of length n >= 1, real or complex, all finite
+    starts, ratios : the scale blocks; one block by default
     """
 
-    __slots__ = ("n", "data")
+    __slots__ = ("n", "d", "u", "v", "starts", "ratios")
 
-    def __init__(self, n, data):
-        if n < 1:
-            raise InvalidDimensionError(f"matrix size must be >= 1, got {n}")
-        data = np.ascontiguousarray(data, dtype=np.complex128)
-        if data.shape != (_packed_length(n),):
+    def __init__(self, d, u, v, starts=(0,), ratios=(1.0,)):
+        # one dtype for all three, so that no in-place sum in the products
+        # has to cast a complex term into a real array
+        d, u, v = np.asarray(d), np.asarray(u), np.asarray(v)
+        dtype = np.result_type(d, u, v, np.float64)
+        d, u, v = (a.astype(dtype, copy=False) for a in (d, u, v))
+        if d.ndim != 1 or d.shape[0] < 1:
+            raise InvalidDimensionError(f"matrix size must be >= 1, got {d.shape}")
+        n = d.shape[0]
+        if u.shape != (n,) or v.shape != (n,):
             raise InvalidDimensionError(
-                f"packed data for size {n} must have length {_packed_length(n)}, "
-                f"got shape {data.shape}"
+                f"generators of size {n} must have length {n}, "
+                f"got shapes {u.shape} and {v.shape}"
             )
-        if not np.all(np.isfinite(data.view(np.float64))):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        if not all(np.isfinite(a).all() for a in (d, u, v)):
+            raise ValueError("matrix generators must be finite (no NaN/Inf)")
         self.n = int(n)
-        self.data = data
-
-    @classmethod
-    def zeros(cls, n):
-        if n < 1:
-            raise InvalidDimensionError(f"matrix size must be >= 1, got {n}")
-        return cls(n, np.zeros(_packed_length(n), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, n):
-        if n < 1:
-            raise InvalidDimensionError(f"matrix size must be >= 1, got {n}")
-        data = np.zeros(_packed_length(n), dtype=np.complex128)
-        data[row_offsets(n) + np.arange(n)] = 1.0
-        return cls(n, data)
-
-    @classmethod
-    def from_dense(cls, array):
-        """Pack a dense lower-triangular array; the upper triangle must be zero."""
-        array = np.asarray(array, dtype=np.complex128)
-        if array.ndim != 2 or array.shape[0] != array.shape[1]:
-            raise InvalidDimensionError(f"expected a square matrix, got {array.shape}")
-        n = array.shape[0]
-        if n >= 2 and np.any(array[np.triu_indices(n, k=1)] != 0):
-            raise ValueError("upper triangle must be exactly zero")
-        rows, cols = packed_indices(n)
-        return cls(n, array[rows, cols])
-
-    @classmethod
-    def diagonal(cls, values):
-        """Diagonal matrix from a 1-D vector of entries."""
-        values = np.asarray(values, dtype=np.complex128)
-        n = values.shape[0]
-        data = np.zeros(_packed_length(n), dtype=np.complex128)
-        data[row_offsets(n) + np.arange(n)] = values
-        return cls(n, data)
-
-    def row(self, i):
-        """Packed row i (0-based): the i + 1 entries a_{i,0..i}."""
-        off = i * (i + 1) // 2
-        return self.data[off : off + i + 1]
-
-    def entry(self, i, j):
-        """Entry at (row i, column j), 0-based; zero above the diagonal."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
-        if j > i:
-            return 0j
-        return complex(self.data[i * (i + 1) // 2 + j])
-
-    def diag(self):
-        """The diagonal as a 1-D array."""
-        return self.data[row_offsets(self.n) + np.arange(self.n)].copy()
-
-    def dense(self):
-        """Unpack to a dense (n, n) complex array."""
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        rows, cols = packed_indices(self.n)
-        out[rows, cols] = self.data
-        return out
-
-    # Row-major packed lower storage is the column-major packed upper storage
-    # of the transpose, so BLAS tpmv applies the matrix without unpacking.
+        self.d = d
+        self.u = u
+        self.v = v
+        self.starts = tuple(starts)
+        self.ratios = tuple(ratios)
 
     def matvec(self, x):
-        """The product A x of a vector of length n."""
-        return ztpmv(self.n, self.data, np.asarray(x, dtype=np.complex128), trans=1)
+        """The product A x; ``x`` is a vector or an (n, k) block of columns."""
+        x = np.asarray(x)
+        col = (lambda a: a[:, None]) if x.ndim == 2 else (lambda a: a)
+        y = col(self.u) * _carried_sums(col(self.v) * x, self.starts, self.ratios)
+        y += col(self.d) * x
+        return y
 
     def rmatvec(self, y):
-        """The adjoint product A* y of a vector of length n."""
-        y = np.conj(np.asarray(y, dtype=np.complex128))
-        return np.conj(ztpmv(self.n, self.data, y))
+        """The adjoint product A* y; ``y`` is a vector or an (n, k) block."""
+        y = np.asarray(y)
+        col = (lambda a: a[:, None]) if y.ndim == 2 else (lambda a: a)
+        z = col(self.u).conj() * y
+        x = _carried_sums(z, self.starts, self.ratios, reverse=True)
+        x *= col(self.v).conj()
+        x += col(self.d).conj() * y
+        return x
 
     def modulus(self):
         """The entrywise modulus |A|, the least positive matrix dominating A."""
-        return LowerTriangularMatrix(self.n, np.abs(self.data).astype(np.complex128))
+        return LowerTriangularMatrix(
+            np.abs(self.d), np.abs(self.u), np.abs(self.v), self.starts, self.ratios
+        )
 
     def abs_row_sums(self):
-        return np.add.reduceat(np.abs(self.data), row_offsets(self.n))
+        return self.modulus().matvec(np.ones(self.n))
 
     def abs_col_sums(self):
-        return self.modulus().rmatvec(np.ones(self.n)).real
+        return self.modulus().rmatvec(np.ones(self.n))
 
-    def is_real(self, tol=0.0):
-        return bool(np.all(np.abs(self.data.imag) <= tol))
+    def dense(self):
+        """The dense (n, n) array: the product with I, all columns at once."""
+        return self.matvec(np.eye(self.n))
 
-    def is_nonnegative(self, tol=0.0):
-        return self.is_real(tol) and bool(np.all(self.data.real >= -tol))
-
-    def max_abs(self):
-        return float(np.abs(self.data).max())
-
-    def __eq__(self, other):
-        if not isinstance(other, LowerTriangularMatrix):
-            return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.data, other.data))
-
-    __hash__ = None  # mutable ndarray payload; compare by value only
+    def is_real(self):
+        factors = (self.d, self.u, self.v)
+        return not any(np.iscomplexobj(a) and np.any(a.imag) for a in factors)
 
     def __repr__(self):
-        return f"LowerTriangularMatrix(n={self.n})"
+        return f"LowerTriangularMatrix(n={self.n}, blocks={len(self.starts)})"
 
 
 def cesaro_matrix(n):
     """The n x n averaging matrix: row i (0-based) is the constant 1/(i+1).
 
     Applying it to a vector produces the running arithmetic means
-    (x_1 + ... + x_k)/k.
+    (x_1 + ... + x_k)/k.  In generator form d = u = 1/k and v = 1.
     """
     if n < 1:
         raise InvalidDimensionError(f"matrix size must be >= 1, got {n}")
-    rows = np.repeat(np.arange(1, n + 1, dtype=np.float64), np.arange(1, n + 1))
-    return LowerTriangularMatrix(n, 1.0 / rows)
+    inverse = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+    return LowerTriangularMatrix(inverse, inverse, np.ones(n))
 
 
 def apply(A, x):
@@ -205,21 +155,3 @@ def apply(A, x):
             f"vector of length {x.shape} does not match matrix size {A.n}"
         )
     return A.matvec(x)
-
-
-def modulus(B):
-    """The entrywise modulus matrix |B|, the least positive matrix dominating B."""
-    return B.modulus()
-
-
-def dominates(A, B, tol=DOMINATION_TOLERANCE):
-    """True iff |b_ij| <= a_ij + tol for every stored entry.
-
-    A must have real entries.  The additive slack covers dominating
-    matrices that are themselves computed in floating point.
-    """
-    if A.n != B.n:
-        raise InvalidDimensionError(f"size mismatch: {A.n} vs {B.n}")
-    if not A.is_real():
-        raise ValueError("dominating matrix must have real entries")
-    return bool(np.all(np.abs(B.data) <= A.data.real + tol))

@@ -10,12 +10,27 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-def random_triangular(rng, n, scale=1.0, real=False):
-    shape = n * (n + 1) // 2
-    data = rng.standard_normal(shape) * scale
-    if not real:
-        data = data + 1j * rng.standard_normal(shape) * scale
-    return LowerTriangularMatrix(n, data)
+def random_triangular(rng, n, real=False, blocks=1):
+    """Random real or complex generators d, u, v of size n.
+
+    With ``blocks`` > 1 they span that many scale blocks of equal length,
+    joined by random ratios in (0.25, 4).
+    """
+
+    def draw():
+        x = rng.standard_normal(n)
+        return x if real else x + 1j * rng.standard_normal(n)
+
+    d, u, v = draw(), draw(), draw()
+    starts = tuple(q * n // blocks for q in range(blocks))
+    ratios = (1.0,) + tuple(4.0 ** rng.uniform(-1.0, 1.0, blocks - 1))
+    return LowerTriangularMatrix(d, u, v, starts, ratios)
+
+
+def cesaro_section(n):
+    """The n x n averaging matrix in plain numpy, apart from the library's."""
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return np.tril(np.ones((n, n))) / k[:, None]
 
 
 def random_vector(rng, n, real=False):

@@ -13,7 +13,7 @@ from ceslab import (
     product_profile,
     remark41,
 )
-from ceslab.bounds import _row_sums, comparison_matrix_report
+from ceslab.bounds import _row_sums, comparison_matrix_report, profile_report
 from conftest import sample_lambda
 
 
@@ -45,6 +45,31 @@ class TestProductProfile:
         for _ in range(5):
             prof = product_profile(sample_lambda(rng), 2000)
             assert prof.p_hat > 0
+
+
+class TestProfileReport:
+    def test_band_holds_at_two(self):
+        report = profile_report(2.0, 20000)
+        prof = product_profile(2.0, 20000)
+        assert report["holds"] and report["kind"] == "profile_38"
+        assert (report["p_hat"], report["q_hat"]) == (prof.p_hat, prof.q_hat)
+        # the tail from the end of the first tenth on, against the band
+        # [0.9 p0, 1.1 q0] spanned by that first tenth
+        head, tail = prof.scaled[:2000], prof.scaled[1999:]
+        edges = np.minimum(tail - 0.9 * head.min(), 1.1 * head.max() - tail)
+        assert report["worst_margin"] == pytest.approx(edges.min(), rel=1e-15)
+        assert report["worst_margin"] > 0
+
+    def test_band_fails_past_a_late_pole(self):
+        # the factor 1 - 1/(k lambda) nearly vanishes at k = 20, beyond the
+        # first tenth of n = 100, and the tail then leaves the band
+        report = profile_report(complex(0.05, 0.01), 100)
+        assert report["p_hat"] > 0
+        assert not report["holds"] and report["worst_margin"] < 0
+
+    def test_needs_a_tail(self):
+        with pytest.raises(UnsupportedParameterError):
+            profile_report(2.0, 1)
 
 
 class TestBetaEstimate:

@@ -19,8 +19,8 @@ from ceslab import (
     cesaro_matrix,
     comparison_operator,
 )
-from ceslab.resolvent import GeneratorMatrix, gamma, resolvent_operator
-from conftest import closed_form_resolvent, log_domain_e
+from ceslab.resolvent import gamma, resolvent_operator
+from conftest import cesaro_section, closed_form_resolvent, log_domain_e
 
 EPS = np.finfo(np.float64).eps
 
@@ -100,7 +100,7 @@ def test_matvec_matches_triangular_solve(lam, n, seed):
     if pair is None:
         return
     G, R = pair
-    A = cesaro_matrix(n).dense()
+    A = cesaro_section(n).astype(complex)
     A[np.diag_indices(n)] -= lam
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -154,19 +154,22 @@ def test_overflow_located_like_log_domain_oracle():
         assert (raised.value.row, raised.value.col) == expected
 
 
-def test_packed_matrix_offers_the_same_interface():
+def test_cesaro_matrix_shares_the_generator_form():
     C = cesaro_matrix(5)
+    dense = cesaro_section(5)
     x = np.arange(1.0, 6.0)
-    np.testing.assert_allclose(C.matvec(x), C.dense() @ x, rtol=1e-15)
-    np.testing.assert_allclose(C.rmatvec(x), C.dense().T @ x, rtol=1e-15)
-    np.testing.assert_allclose(C.abs_col_sums(), C.dense().sum(axis=0), rtol=1e-15)
+    np.testing.assert_allclose(C.matvec(x), dense @ x, rtol=1e-15)
+    np.testing.assert_allclose(C.rmatvec(x), dense.T @ x, rtol=1e-15)
+    np.testing.assert_allclose(C.abs_col_sums(), dense.sum(axis=0), rtol=1e-15)
     np.testing.assert_allclose(C.abs_row_sums(), np.ones(5), rtol=1e-15)
-    assert isinstance(C.modulus(), LowerTriangularMatrix)
+    assert C.is_real()
+    for A in (C, C.modulus(), resolvent_operator(2.0, 5), comparison_operator(2.0, 5)):
+        assert type(A) is LowerTriangularMatrix
 
 
 def test_generator_of_size_one():
     G = resolvent_operator(2.0, 1)
-    assert isinstance(G, GeneratorMatrix)
+    assert isinstance(G, LowerTriangularMatrix)
     np.testing.assert_array_equal(G.dense(), [[-1.0]])
 
 

@@ -15,11 +15,11 @@ from ceslab import (
     ces0,
     cesaro_matrix,
     classify_growth,
+    diag_operator,
     dual_exponent,
     in_spectrum,
     linf,
     lp,
-    modulus,
     norm,
     operator_norm_estimate,
     operator_norm_report,
@@ -114,7 +114,7 @@ class TestOperatorNorms:
         assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_lanczos_branch_matches_svd(self, rng):
-        A = random_triangular(rng, 48)
+        A = random_triangular(rng, 48, blocks=2)
         exact = operator_norm_estimate(lp(2), A)
         report = operator_norm_report(lp(2), A, NormOptions(svd_cutoff=16))
         assert report.method == "lanczos"
@@ -162,15 +162,13 @@ class TestOperatorNorms:
 
 class TestRegularNorm:
     def test_positive_matrix_equality_exact(self, rng):
-        A = random_triangular(rng, 20, real=True)
-        A = modulus(A)  # force positivity
+        A = random_triangular(rng, 20, real=True, blocks=2)
+        A = A.modulus()  # force positivity
         for space in (lp(2), lp(3), linf(), ces(2), ces0()):
             assert regular_norm_estimate(space, A) == operator_norm_estimate(space, A)
 
     def test_diagonal_signs_wash_out(self):
-        from ceslab import LowerTriangularMatrix
-
-        D = LowerTriangularMatrix.diagonal([-1.0, 1j])
+        D = diag_operator([-1.0, 1j])
         for space in (lp(2), linf()):
             assert regular_norm_estimate(space, D) == pytest.approx(1.0, rel=1e-14)
             assert operator_norm_estimate(space, D) == pytest.approx(1.0, rel=1e-14)

@@ -1,49 +1,47 @@
 import numpy as np
 import pytest
 
-from ceslab import (
-    InvalidDimensionError,
-    LowerTriangularMatrix,
-    apply,
-    cesaro_matrix,
-    dominates,
-    modulus,
-)
-from conftest import random_triangular, random_vector
+from ceslab import InvalidDimensionError, LowerTriangularMatrix, apply, cesaro_matrix
+from conftest import cesaro_section, random_triangular, random_vector
+
+
+def dense_from_generators(A):
+    """Oracle: d on the diagonal, u_i v_j exp(shift_b(j) - shift_b(i)) below it."""
+    block = np.searchsorted(A.starts, np.arange(A.n), side="right") - 1
+    scale = np.cumprod(A.ratios)[block]  # exp(shift_0 - shift_b(k))
+    strict = np.tril(np.outer(A.u * scale, A.v / scale), k=-1)
+    return strict + np.diag(A.d)
+
 
 class TestConstruction:
     def test_zero_size_rejected(self):
         with pytest.raises(InvalidDimensionError):
             cesaro_matrix(0)
         with pytest.raises(InvalidDimensionError):
-            LowerTriangularMatrix.zeros(0)
+            LowerTriangularMatrix(np.zeros(0), np.zeros(0), np.zeros(0))
 
-    def test_packed_length_enforced(self):
+    def test_factor_lengths_enforced(self):
         with pytest.raises(InvalidDimensionError):
-            LowerTriangularMatrix(3, np.zeros(5, dtype=complex))
+            LowerTriangularMatrix(np.zeros(3), np.zeros(3), np.zeros(2))
+        with pytest.raises(InvalidDimensionError):
+            LowerTriangularMatrix(np.zeros(3), np.zeros(4), np.zeros(3))
 
     def test_nonfinite_entries_rejected(self):
-        data = np.array([1.0, np.nan, 1.0], dtype=complex)
+        ones = np.ones(2, dtype=complex)
         with pytest.raises(ValueError):
-            LowerTriangularMatrix(2, data)
-        data = np.array([1.0, np.inf * 1j, 1.0], dtype=complex)
+            LowerTriangularMatrix(np.array([1.0, np.nan]), ones, ones)
         with pytest.raises(ValueError):
-            LowerTriangularMatrix(2, data)
+            LowerTriangularMatrix(ones, ones, np.array([1.0, np.inf * 1j]))
 
     def test_entry_above_diagonal_is_zero(self):
-        C = cesaro_matrix(3)
-        assert C.entry(0, 2) == 0
-        assert C.entry(1, 0) == 0.5
+        C = cesaro_matrix(3).dense()
+        assert C[0, 2] == 0
+        assert C[1, 0] == 0.5
 
-    def test_from_dense_round_trip(self, rng):
-        A = random_triangular(rng, 7)
-        assert LowerTriangularMatrix.from_dense(A.dense()) == A
-
-    def test_from_dense_rejects_upper_junk(self):
-        bad = np.eye(3, dtype=complex)
-        bad[0, 2] = 1.0
-        with pytest.raises(ValueError):
-            LowerTriangularMatrix.from_dense(bad)
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_dense_matches_generator_entries(self, rng, blocks):
+        A = random_triangular(rng, 12, blocks=blocks)
+        np.testing.assert_allclose(A.dense(), dense_from_generators(A), rtol=1e-14)
 
 
 class TestCesaroMatrix:
@@ -51,10 +49,13 @@ class TestCesaroMatrix:
         np.testing.assert_array_equal(cesaro_matrix(1).dense(), [[1.0]])
 
     def test_size_three_rows(self):
-        C = cesaro_matrix(3)
-        np.testing.assert_array_equal(C.row(0), [1.0])
-        np.testing.assert_array_equal(C.row(1), [0.5, 0.5])
-        np.testing.assert_array_equal(C.row(2), [1 / 3, 1 / 3, 1 / 3])
+        C = cesaro_matrix(3).dense()
+        np.testing.assert_array_equal(C[0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(C[1], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(C[2], [1 / 3, 1 / 3, 1 / 3])
+
+    def test_matches_plain_numpy_section(self):
+        np.testing.assert_array_equal(cesaro_matrix(40).dense(), cesaro_section(40))
 
 
 class TestApply:
@@ -68,52 +69,45 @@ class TestApply:
 
     def test_identity(self, rng):
         x = random_vector(rng, 9)
-        np.testing.assert_array_equal(apply(LowerTriangularMatrix.identity(9), x), x)
+        identity = LowerTriangularMatrix(np.ones(9), np.zeros(9), np.zeros(9))
+        np.testing.assert_array_equal(apply(identity, x), x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidDimensionError):
             apply(cesaro_matrix(3), np.ones(4))
 
     def test_matches_dense_product(self, rng):
-        A = random_triangular(rng, 20)
-        x = random_vector(rng, 20)
-        np.testing.assert_allclose(apply(A, x), A.dense() @ x, rtol=1e-13)
+        for blocks in (1, 2):
+            A = random_triangular(rng, 20, blocks=blocks)
+            x = random_vector(rng, 20)
+            M = dense_from_generators(A)
+            np.testing.assert_allclose(apply(A, x), M @ x, rtol=1e-13)
+            np.testing.assert_allclose(A.rmatvec(x), M.conj().T @ x, rtol=1e-13)
 
 
 class TestModulus:
     def test_positive_matrix_fixed(self):
         C = cesaro_matrix(4)
-        assert modulus(C) == C
+        np.testing.assert_array_equal(C.modulus().dense(), C.dense())
 
     def test_mixed_entries(self):
-        B = LowerTriangularMatrix(2, np.array([-1.0, 1j, -2.0]))
-        np.testing.assert_array_equal(modulus(B).data, [1.0, 1.0, 2.0])
+        B = LowerTriangularMatrix(np.array([-1.0, -2.0]), np.array([0.0, 1j]), np.ones(2))
+        np.testing.assert_array_equal(B.modulus().dense(), [[1.0, 0.0], [1.0, 2.0]])
 
     def test_application_domination(self, rng):
         # |Bx| <= |B| |x| coordinatewise: the inequality chain behind
         # transferring continuity from a dominating positive matrix
-        for _ in range(10):
-            B = random_triangular(rng, 15)
+        for blocks in (1, 2) * 5:
+            B = random_triangular(rng, 15, blocks=blocks)
             x = random_vector(rng, 15)
             lhs = np.abs(apply(B, x))
-            rhs = apply(modulus(B), np.abs(x)).real
+            rhs = apply(B.modulus(), np.abs(x)).real
             assert np.all(lhs <= rhs + 1e-12 * rhs.max())
 
 
 class TestDominates:
     def test_modulus_dominates_source(self, rng):
-        B = random_triangular(rng, 12)
-        assert dominates(modulus(B), B)
-
-    def test_zero_fails_on_nonzero(self):
-        B = LowerTriangularMatrix(2, np.array([0.0, 0.5, 0.0]))
-        assert not dominates(LowerTriangularMatrix.zeros(2), B)
-
-    def test_requires_real_entries(self):
-        A = LowerTriangularMatrix(1, np.array([1j]))
-        with pytest.raises(ValueError):
-            dominates(A, A)
-
-    def test_size_mismatch(self):
-        with pytest.raises(InvalidDimensionError):
-            dominates(cesaro_matrix(2), cesaro_matrix(3))
+        B = random_triangular(rng, 12, blocks=2)
+        absB = B.modulus().dense()
+        assert np.all(absB.imag == 0)
+        assert np.all(np.abs(B.dense()) <= absB.real + 1e-12)
