@@ -39,6 +39,7 @@ __all__ = [
     "check_entry_bounds",
     "comparison_matrix_report",
     "remark41",
+    "remark41_report",
     "gamma_circle_point",
 ]
 
@@ -108,7 +109,9 @@ def product_profile(lam, N):
     alpha = alpha_of(lam)
     logpi = np.cumsum(np.log(np.abs(_factor_sequence(lam, N))))
     logn = np.log(np.arange(1, N + 1, dtype=np.float64))
-    return ProductProfile(lam, alpha, np.exp(logpi), np.exp(alpha * logn + logpi))
+    # beyond the double range the entries come out as inf or 0
+    with np.errstate(over="ignore", under="ignore"):
+        return ProductProfile(lam, alpha, np.exp(logpi), np.exp(alpha * logn + logpi))
 
 
 def profile_report(lam, n):
@@ -117,12 +120,18 @@ def profile_report(lam, n):
     The profile holds when it is positive and, from the end of its first
     tenth on, stays within [0.9 p0, 1.1 q0], where p0 and q0 are its
     extrema over that first tenth; ``worst_margin`` is the smaller
-    distance to the band's two edges.
+    distance to the band's two edges.  A profile that leaves the double
+    range (large |alpha|) is refused with an error naming alpha.
     """
     lam = complex(lam)
     if n < 2:
         raise UnsupportedParameterError(f"the profile band test needs n >= 2, got {n}")
     profile = product_profile(lam, n)
+    if not (np.isfinite(profile.scaled).all() and profile.scaled.min() > 0):
+        raise UnsupportedParameterError(
+            f"the profile n^alpha pi_n up to n = {n} leaves the double range "
+            f"at alpha = {profile.alpha:.17g}"
+        )
     head = max(2, n // 10)
     p0 = float(profile.scaled[:head].min())
     q0 = float(profile.scaled[:head].max())
@@ -302,6 +311,25 @@ def remark41(lam, b):
     if not b > 0:
         raise UnsupportedParameterError(f"b must be positive, got {b}")
     return (alpha_of(lam) < 1.0 / b, abs(lam - b / 2.0) > b / 2.0)
+
+
+def remark41_report(lam, b):
+    """The equivalence of :func:`remark41` at one lambda, as a JSON-ready dict.
+
+    It holds when the two sides agree; ``worst_margin`` is the distance
+    |Re(1/lambda) - 1/b| from the threshold.
+    """
+    inside, outside = remark41(lam, b)
+    return {
+        "kind": "remark41",
+        "lambda_re": lam.real,
+        "lambda_im": lam.imag,
+        "b": b,
+        "alpha_below_threshold": inside,
+        "outside_disk": outside,
+        "holds": bool(inside == outside),
+        "worst_margin": abs(alpha_of(lam) - 1.0 / b),
+    }
 
 
 def gamma_circle_point(alpha, t):

@@ -23,7 +23,7 @@ from .bounds import (
     comparison_matrix_report,
     gamma_circle_point,
     profile_report,
-    remark41,
+    remark41_report,
 )
 from .errors import (
     CeslabError,
@@ -120,26 +120,12 @@ def _cmd_verify(args):
 # bounds
 
 
-def _remark41_report(lam, b):
-    inside, outside = remark41(lam, b)
-    return {
-        "kind": "remark41",
-        "lambda_re": lam.real,
-        "lambda_im": lam.imag,
-        "b": b,
-        "alpha_below_threshold": inside,
-        "outside_disk": outside,
-        "holds": bool(inside == outside),
-        "worst_margin": abs(alpha_of(lam) - 1.0 / b),
-    }
-
-
 def _cmd_bounds(args):
     kind = args.kind
     if kind == "remark41":
         if args.lam is None:
             raise InvalidConfigError("remark41 needs --lambda")
-        report = _remark41_report(parse_complex(args.lam), args.b)
+        report = remark41_report(parse_complex(args.lam), args.b)
     elif kind == "profile_38":
         if args.lam is None:
             raise InvalidConfigError("profile_38 needs --lambda")

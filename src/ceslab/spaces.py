@@ -114,10 +114,12 @@ def dual_exponent(p):
 
 
 def cesaro_averages(x):
-    """Running averages (|x_1| + ... + |x_k|)/k of the modulus, as a real array."""
-    x = np.asarray(x)
-    absx = np.abs(x)
-    return np.cumsum(absx) / np.arange(1, absx.shape[0] + 1)
+    """Running averages (|x_1| + ... + |x_k|)/k of the modulus, as a real array.
+
+    A stack of vectors is averaged along its last axis.
+    """
+    absx = np.abs(np.asarray(x))
+    return np.cumsum(absx, axis=-1) / np.arange(1, absx.shape[-1] + 1)
 
 
 def _as_finite_vector(x):

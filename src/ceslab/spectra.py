@@ -15,6 +15,11 @@ paired with a row-sum-style upper bound where one is available.  Above
 bidiagonalization (ARPACK through ``scipy.sparse.linalg.svds``) instead of
 a dense SVD.
 
+There is one ascent code path, :func:`_lockstep_ascent`, the block form of
+the power method: it runs L operators of one size with all their start
+vectors as one (L, k, n) block of iterates.  A single norm report is its
+L = 1 case; a sweep hands it a chunk of lambdas at once.
+
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
 ``abs_col_sums()``, ``is_real()`` and ``dense()``, which the generator
@@ -26,8 +31,6 @@ needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
 """
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +40,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 from .errors import InvalidConfigError, UnsupportedParameterError
 from .resolvent import gamma as gamma_of
 from .resolvent import resolvent_operator
-from .spaces import cesaro_averages, dual_exponent, norm
+from .spaces import cesaro_averages, dual_exponent
 
 __all__ = [
     "SpectralDisk",
@@ -70,6 +73,10 @@ DENSE_PRODUCTS_MAX = 200
 
 # The ces(0) column scan forms this many columns of |A| at a time.
 _COLUMN_BLOCK = 256
+
+# A sweep runs the lambdas of one size in chunks whose (L, n, n) stack of
+# dense operators takes at most this many bytes.
+_LOCKSTEP_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -180,129 +187,198 @@ def _l2_estimate(A, opts):
     return NormEstimate(value, upper, "lanczos", False, converged, vector)
 
 
-def _products(A):
-    """The products x -> A x and y -> A* y that the ascents iterate."""
-    if A.n > DENSE_PRODUCTS_MAX:
-        return A.matvec, A.rmatvec
-    # complex like the iterates, so that no product casts the matrix again
-    dense = A.dense().astype(np.complex128, copy=False)
-    return dense.__matmul__, dense.conj().T.__matmul__
-
-
 def _lp_dual_map(z, p_dual):
     # maximizer of Re<z, x> over the unit p-ball, up to normalization
     return _phase(z) * np.abs(z) ** (p_dual - 1.0)
 
 
-def _ascent_starts(n, opts, extra_starts):
-    starts = [np.ones(n, dtype=np.complex128)]
+def _ces_dual_transpose(g):
+    # (C^T g)_m = sum_{j >= m} g_j / j, 1-based, along the last axis
+    weighted = g / np.arange(1, g.shape[-1] + 1, dtype=np.float64)
+    return np.cumsum(weighted[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _ascent_norms(space, x):
+    # the norm of ``space`` of every row of a stack of vectors
+    if space.kind == "lp":
+        return np.linalg.norm(x, space.p, axis=-1)
+    averages = cesaro_averages(x)
+    if space.kind == "ces0":
+        return averages.max(axis=-1)
+    return np.linalg.norm(averages, space.p, axis=-1)
+
+
+def _ascent_starts(space, n, opts, extra_starts):
+    """The start vectors of one ascent, as the rows of a (k, n) array.
+
+    In order: the ones vector, ``opts.restarts - 1`` seeded random positive
+    vectors, the nonzero ``extra_starts`` of length n and, for ces(0), the
+    vertex starts.
+    """
+    starts = [np.ones(n)]
     rng = np.random.default_rng(opts.seed)
     for _ in range(max(0, opts.restarts - 1)):
-        starts.append(np.abs(rng.standard_normal(n)).astype(np.complex128))
+        starts.append(np.abs(rng.standard_normal(n)))
     for vec in extra_starts:
-        v = np.asarray(vec, dtype=np.complex128)
+        v = np.asarray(vec)
         if v.shape == (n,) and np.abs(v).max() > 0:
             starts.append(v)
-    return starts
-
-
-def _ascent_lp(A, p, opts, extra_starts):
-    """Dual-exponent power-type ascent for the p -> p operator norm.
-
-    Each iterate is a unit vector, so every evaluated ratio is a certified
-    lower bound; the estimate sequence is nondecreasing along a run.
-    """
-    matvec, rmatvec = _products(A)
-    p_dual = dual_exponent(p)
-    best = 0.0
-    best_x = None
-    converged = True
-    for x0 in _ascent_starts(A.n, opts, extra_starts):
-        x = x0 / np.linalg.norm(x0, p)
-        prev = -np.inf
-        for it in range(opts.max_iter):
-            y = matvec(x)
-            est = float(np.linalg.norm(y, p))
-            if est > best:
-                best, best_x = est, x.copy()
-            if est == 0.0 or est - prev <= opts.rtol * max(est, 1.0):
-                break
-            prev = est
-            psi = _lp_dual_map(y, p)  # direction of the norm's subgradient
-            z = rmatvec(psi)
-            if np.abs(z).max() == 0:
-                break
-            x = _lp_dual_map(z, p_dual)
-            x /= np.linalg.norm(x, p)
-        else:
-            converged = False
-    upper = float(
-        A.abs_col_sums().max() ** (1.0 / p) * A.abs_row_sums().max() ** (1.0 / p_dual)
-    )
-    return NormEstimate(best, upper, "ascent", False, converged, best_x)
-
-
-def _ces_dual_transpose(g, n):
-    # (C^T g)_m = sum_{j >= m} g_j / j, 1-based
-    weighted = g / np.arange(1, n + 1, dtype=np.float64)
-    return np.cumsum(weighted[::-1])[::-1]
-
-
-def _ascent_ces(A, space, opts, extra_starts):
-    """Ascent for the ces(p)/ces(0) operator norm via averaged norms.
-
-    The update follows the chain rule through the averaging matrix; the
-    reported value is the best norm ratio over all evaluated unit vectors,
-    hence a valid lower bound regardless of the heuristic's dynamics.
-    """
-    matvec, rmatvec = _products(A)
-    n = A.n
-    max_type = space.kind == "ces0"
-    best = 0.0
-    best_x = None
-    converged = True
-
-    starts = _ascent_starts(n, opts, extra_starts)
-    if max_type:
+    if space.kind == "ces0":
         starts.extend(_ces0_vertex_starts(n))
+    return np.array(starts)
 
-    for x0 in starts:
-        nx = norm(space, x0)
-        if nx == 0:
-            continue
-        x = x0 / nx
-        prev = -np.inf
-        for it in range(opts.max_iter):
-            y = matvec(x)
-            w = cesaro_averages(y)
-            if max_type:
-                est = float(w.max())
+
+def _lockstep_ascent(space, operators, starts, opts):
+    """Dual-exponent power ascents of L operators of one size, in lockstep.
+
+    ``starts[i]`` holds the (k_i, n) start vectors of operator i.  The
+    running iterates form one (L, k, n) block, a row per start, and every
+    product is one batched call: up to DENSE_PRODUCTS_MAX a matrix product
+    with a stack of the dense operators, above it each operator's
+    generator product on its rows.  Each row runs the rule of a single
+    ascent (Higham, Numer. Math. 62, 1992): it stops when its ratio stops
+    rising by more than ``opts.rtol`` or a step vanishes, and it keeps its
+    own best ratio.  Stopped rows leave the block, and so does an operator
+    once all its rows have stopped; the dense stack is compacted in place.
+
+    Every iterate is a unit vector, so each ratio is a certified lower
+    bound.  Returns (value, best_vector, converged) per operator: the
+    largest ratio, the first iterate in start order that reached it (None
+    if no ratio was positive), and whether every row stopped within
+    ``opts.max_iter`` products.
+    """
+    L, n = len(operators), operators[0].n
+    k = max(len(s) for s in starts)
+    # real operators with real starts keep real iterates
+    real = not any(np.iscomplexobj(a) for a in (*starts, *(A.d for A in operators)))
+    dtype = np.float64 if real else np.complex128
+    X = np.zeros((L, k, n), dtype=dtype)
+    live = np.zeros((L, k), dtype=bool)
+    for i, s in enumerate(starts):
+        X[i, : len(s)] = s
+        live[i, : len(s)] = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = _ascent_norms(space, X)
+    live &= scale > 0
+    X /= np.where(live, scale, 1.0)[..., None]
+    prev = np.full((L, k), -np.inf)
+    # best ratio and first iterate reaching it of every (operator, start);
+    # block row (i, j) keeps them at flat position slot[i, j]
+    best = np.zeros(L * k)
+    best_x = np.zeros((L * k, n), dtype=dtype)
+    slot = np.arange(L * k).reshape(L, k)
+    owner = np.arange(L)  # the operator of each block row
+    converged = np.zeros(L, dtype=bool)
+
+    if n <= DENSE_PRODUCTS_MAX:
+        stack = np.empty((L, n, n), dtype=dtype)
+        for i, A in enumerate(operators):
+            stack[i] = A.dense()
+
+        def forward(x):
+            return x @ stack[: len(x)].transpose(0, 2, 1)
+
+        def adjoint(y):
+            # rows of A* y are the conjugated rows of conj(y) A
+            return np.conj(np.conj(y) @ stack[: len(y)])
+
+    else:
+
+        def forward(x):
+            return np.stack([operators[i].matvec(r.T).T for i, r in zip(owner, x)])
+
+        def adjoint(y):
+            return np.stack([operators[i].rmatvec(r.T).T for i, r in zip(owner, y)])
+
+    p, max_type = space.p, space.kind == "ces0"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(opts.max_iter):
+            y = forward(X)
+            if space.kind == "lp":
+                est = np.linalg.norm(y, p, axis=-1)
             else:
-                est = float(np.linalg.norm(w, space.p))
-            if est > best:
-                best, best_x = est, x.copy()
-            if est == 0.0 or est - prev <= opts.rtol * max(est, 1.0):
-                break
+                w = cesaro_averages(y)
+                est = w.max(axis=-1) if max_type else np.linalg.norm(w, p, axis=-1)
+            better = live & (est > best[slot])
+            best[slot[better]] = est[better]
+            best_x[slot[better]] = X[better]
+            live &= (est > 0.0) & (est - prev > opts.rtol * np.maximum(est, 1.0))
             prev = est
-            if max_type:
-                g = np.zeros(n)
-                g[int(np.argmax(w))] = 1.0
+            # step along the norm's subgradient, pulled back through A*
+            if space.kind == "lp":
+                z = adjoint(_lp_dual_map(y, p))
             else:
-                g = (w / est) ** (space.p - 1.0)
-            z = rmatvec(_phase(y) * _ces_dual_transpose(g, n))
-            if np.abs(z).max() == 0:
-                break
-            if max_type:
-                x = z.copy()  # align with the subgradient; renormalized below
-            else:
-                x = _lp_dual_map(z, dual_exponent(space.p))
-            nx = norm(space, x)
-            if nx == 0:
-                break
-            x = x / nx
-        else:
-            converged = False
-    return NormEstimate(best, None, "ascent", False, converged, best_x)
+                if max_type:
+                    g = np.zeros_like(w)
+                    np.put_along_axis(g, w.argmax(axis=-1)[..., None], 1.0, axis=-1)
+                else:
+                    g = (w / est[..., None]) ** (p - 1.0)
+                z = adjoint(_phase(y) * _ces_dual_transpose(g))
+            live &= np.abs(z).max(axis=-1) > 0
+            if not max_type:
+                z = _lp_dual_map(z, dual_exponent(p))
+            scale = _ascent_norms(space, z)
+            live &= scale > 0
+            X = z
+            X /= scale[..., None]  # stopped rows go stale: no ratio of theirs counts
+
+            counts = live.sum(axis=1)
+            width = counts.max()
+            if width < live.shape[1] or not counts.all():
+                # running rows first, in start order; the block narrows to them
+                keep = np.flatnonzero(counts)
+                converged[owner[counts == 0]] = True
+                order = np.argsort(~live[keep], axis=1, kind="stable")[:, :width]
+                rows = keep[:, None], order
+                X, prev, slot = X[rows], prev[rows], slot[rows]
+                live = np.arange(width) < counts[keep][:, None]
+                owner = owner[keep]
+                if n <= DENSE_PRODUCTS_MAX:
+                    for new, old in enumerate(keep):
+                        if new != old:
+                            stack[new] = stack[old]  # in place: new < old
+                if not len(keep):
+                    break
+    best, best_x = best.reshape(L, k), best_x.reshape(L, k, n)
+    return [_best_of(best[i], best_x[i], bool(converged[i])) for i in range(L)]
+
+
+def _best_of(best, best_x, converged):
+    # the largest ratio of one operator and the first row that reached it
+    j = int(np.argmax(best))
+    if best[j] > 0:
+        return float(best[j]), best_x[j].copy(), converged
+    return 0.0, None, converged
+
+
+def _ascent_reports(space, operators, opts, extra_starts):
+    """Ascent norm reports of L operators of one size in l^p, ces(p) or ces(0).
+
+    ``opts[i]`` seeds operator i's random starts and ``extra_starts[i]``
+    adds starts of its own; ``max_iter`` and ``rtol`` come from
+    ``opts[0]``.  l^p reports carry a row/column-sum upper bound; ces(0)
+    reports take the exact best spike start when it beats the ascent.
+    """
+    starts = [
+        _ascent_starts(space, A.n, o, extra)
+        for A, o, extra in zip(operators, opts, extra_starts)
+    ]
+    reports = []
+    for A, (value, vector, converged) in zip(
+        operators, _lockstep_ascent(space, operators, starts, opts[0])
+    ):
+        upper = None
+        if space.kind == "lp":
+            upper = float(
+                A.abs_col_sums().max() ** (1.0 / space.p)
+                * A.abs_row_sums().max() ** (1.0 / dual_exponent(space.p))
+            )
+        if space.kind == "ces0":
+            spike_value, spike = _ces0_column_sup(A)
+            if spike_value > value:
+                value, vector = spike_value, spike
+        reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
+    return reports
 
 
 def _ces0_vertex_starts(n):
@@ -311,15 +387,14 @@ def _ces0_vertex_starts(n):
     starts = []
     m = 1
     while m <= n:
-        spike = np.zeros(n, dtype=np.complex128)
+        spike = np.zeros(n)
         spike[m - 1] = m
         starts.append(spike)
         m *= 2
-    tail = np.ones(n, dtype=np.complex128)
-    starts.append(tail)
+    starts.append(np.ones(n))
     m = 2
     while m <= n:
-        t = np.zeros(n, dtype=np.complex128)
+        t = np.zeros(n)
         t[m - 1 :] = 1.0
         starts.append(t)
         m *= 4
@@ -352,19 +427,10 @@ def operator_norm_report(space, A, opts=None, extra_starts=()):
     if kind in ("linf", "c0"):
         value = float(A.abs_row_sums().max())
         return NormEstimate(value, value, "rowsum", True, True)
-    if kind == "lp":
-        if space.p == 2.0:
-            return _l2_estimate(A, opts)
-        return _ascent_lp(A, space.p, opts, extra_starts)
-    if kind == "ces":
-        return _ascent_ces(A, space, opts, extra_starts)
-    if kind == "ces0":
-        report = _ascent_ces(A, space, opts, extra_starts)
-        spike_value, spike = _ces0_column_sup(A)
-        if spike_value > report.value:
-            report.value = spike_value
-            report.best_vector = spike
-        return report
+    if kind == "lp" and space.p == 2.0:
+        return _l2_estimate(A, opts)
+    if kind in ("lp", "ces", "ces0"):
+        return _ascent_reports(space, [A], [opts], [extra_starts])[0]
     raise ValueError(f"unknown space kind {space.kind!r}")
 
 
@@ -450,32 +516,44 @@ class GrowthVerdict:
     verdict: str
 
 
-def _sweep_task(space, lam, n, opts, in_disk):
-    R = resolvent_operator(lam, n)
-    op = operator_norm_report(space, R, opts)
-    escort = ()
-    if op.best_vector is not None:
-        # feeding |x*| to the modulus ascent pins reg >= op structurally
-        escort = (np.abs(op.best_vector),)
-    reg = operator_norm_report(space, R.modulus(), opts, extra_starts=escort)
-    return SweepRecord(
-        lam=lam,
-        n=n,
-        gamma=gamma_of(lam),
-        op_norm_est=op.value,
-        reg_norm_est=reg.value,
-        in_disk=in_disk,
-    )
+# wrapped by perfbench/tracer.py, which times each call as span spectra.sweep_task
+def _sweep_task(space, n, chunk):
+    """Records of one chunk of (lambda, opts, in_disk) tasks at size n.
+
+    Every operator-norm report of the chunk comes first, then every
+    regular-norm report, whose ascent also starts from the escort |x*| of
+    its operator's best vector; that pins reg >= op structurally.  Ascent
+    spaces run each pass as one lockstep block; l^2 and the row sums run
+    per lambda.
+    """
+    resolvents = [resolvent_operator(lam, n) for lam, _, _ in chunk]
+    opts = [task_opts for _, task_opts, _ in chunk]
+    ascent = space.kind in ("ces", "ces0") or (space.kind == "lp" and space.p != 2.0)
+
+    def reports(operators, extra_starts):
+        if ascent:
+            return _ascent_reports(space, operators, opts, extra_starts)
+        return [operator_norm_report(space, A, o) for A, o in zip(operators, opts)]
+
+    ops = reports(resolvents, [()] * len(chunk))
+    escorts = [() if op.best_vector is None else (np.abs(op.best_vector),) for op in ops]
+    regs = reports([R.modulus() for R in resolvents], escorts)
+    return [
+        SweepRecord(
+            lam=lam,
+            n=n,
+            gamma=gamma_of(lam),
+            op_norm_est=op.value,
+            reg_norm_est=reg.value,
+            in_disk=in_disk,
+        )
+        for (lam, _, in_disk), op, reg in zip(chunk, ops, regs)
+    ]
 
 
 def _max_workers():
-    env = os.environ.get("CESLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer CESLAB_THREADS=%r", env)
-    return min(8, os.cpu_count() or 1)
+    # read by perfbench/child.py, which records it as the run's worker count
+    return 1
 
 
 def sweep(space, grid, sizes, opts=None):
@@ -484,10 +562,13 @@ def sweep(space, grid, sizes, opts=None):
     Points within SWEEP_GAMMA_SKIP of a pole are skipped and logged.  Each
     retained (lambda, n) task builds the closed-form resolvent in generator
     form (:func:`~ceslab.resolvent.resolvent_operator`) and records
-    operator- and regular-norm estimates plus disk membership.  Tasks run
-    on a thread pool (capped by the CESLAB_THREADS environment variable)
-    and results are merged back into deterministic row-major grid order,
-    sizes ascending within each lambda.
+    operator- and regular-norm estimates plus disk membership.  Task
+    (i, j), the i-th retained lambda at the j-th size, seeds its restarts
+    with ``opts.seed + 1000003 i + j``.  The tasks of one size run in
+    chunks of consecutive lambdas whose (L, n, n) stack of dense operators
+    fits _LOCKSTEP_BYTES; the ascents of a chunk run in lockstep.  Chunks
+    run in grid order on the calling thread, and the records come back in
+    row-major grid order, sizes ascending within each lambda.
     """
     opts = opts or NormOptions()
     sizes = [int(s) for s in sizes]
@@ -508,23 +589,20 @@ def sweep(space, grid, sizes, opts=None):
             )
             continue
         retained.append(lam)
+    in_disk = [in_spectrum(space, lam) for lam in retained]
 
-    tasks = []
-    for i, lam in enumerate(retained):
-        in_disk = in_spectrum(space, lam)
-        for j, n in enumerate(sizes):
-            task_opts = replace(opts, seed=opts.seed + 1000003 * i + j)
-            tasks.append((i * len(sizes) + j, space, lam, n, task_opts, in_disk))
-
-    results = {}
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {
-            pool.submit(_sweep_task, space, lam, n, task_opts, in_disk): key
-            for key, space, lam, n, task_opts, in_disk in tasks
-        }
-        for future, key in futures.items():
-            results[key] = future.result()
-    return [results[k] for k in sorted(results)]
+    records = {}
+    for j, n in enumerate(sizes):
+        tasks = [
+            (lam, replace(opts, seed=opts.seed + 1000003 * i + j), in_disk[i])
+            for i, lam in enumerate(retained)
+        ]
+        length = max(1, _LOCKSTEP_BYTES // (16 * n * n))
+        for lo in range(0, len(tasks), length):
+            chunk_records = _sweep_task(space, n, tasks[lo : lo + length])
+            for i, record in enumerate(chunk_records, start=lo):
+                records[i, j] = record
+    return [records[i, j] for i in range(len(retained)) for j in range(len(sizes))]
 
 
 def classify_growth(records, growing_threshold=1.5, bounded_threshold=1.1):

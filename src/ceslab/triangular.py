@@ -124,8 +124,29 @@ class LowerTriangularMatrix:
         return self.modulus().rmatvec(np.ones(self.n))
 
     def dense(self):
-        """The dense (n, n) array: the product with I, all columns at once."""
-        return self.matvec(np.eye(self.n))
+        """The dense (n, n) array, filled from u v^T one scale block at a time.
+
+        Each row block is written in place; the only temporary of size n^2
+        is a boolean mask of the diagonal block.  The v_j of earlier blocks
+        carry the ratios in the order a running sum applies them, so the
+        entries are bit for bit those of the product with I.
+        """
+        n, starts = self.n, self.starts
+        out = np.zeros((n, n), dtype=self.d.dtype)
+        ends = starts[1:] + (n,)
+        scaled = self.v[:0]  # v_j of the blocks already passed, in this block's scale
+        for q, (lo, hi) in enumerate(zip(starts, ends)):
+            if q:
+                prev = self.v[starts[q - 1] : lo]
+                scaled = np.concatenate((scaled, prev)) * self.ratios[q]
+            rows = self.u[lo:hi, None]
+            np.multiply(rows, scaled, out=out[lo:hi, :lo])
+            block = out[lo:hi, lo:hi]
+            np.multiply(rows, self.v[lo:hi], out=block)
+            on_or_above = np.less_equal.outer(np.arange(hi - lo), np.arange(hi - lo))
+            np.copyto(block, 0, where=on_or_above)
+        out.reshape(-1)[:: n + 1] = self.d
+        return out
 
     def is_real(self):
         factors = (self.d, self.u, self.v)

@@ -13,7 +13,7 @@ from ceslab import (
     product_profile,
     remark41,
 )
-from ceslab.bounds import _row_sums, comparison_matrix_report, profile_report
+from ceslab.bounds import _row_sums, comparison_matrix_report, profile_report, remark41_report
 from conftest import sample_lambda
 
 
@@ -70,6 +70,12 @@ class TestProfileReport:
     def test_needs_a_tail(self):
         with pytest.raises(UnsupportedParameterError):
             profile_report(2.0, 1)
+
+    @pytest.mark.parametrize("lam", [complex(0.002, 1e-6), -0.002])
+    def test_refuses_a_profile_beyond_the_double_range(self, lam):
+        # alpha = +-500: n^alpha pi_n over- or underflows within n = 1000
+        with pytest.raises(UnsupportedParameterError, match="alpha = "):
+            profile_report(lam, 1000)
 
 
 class TestBetaEstimate:
@@ -224,6 +230,12 @@ class TestComparisonReports:
 class TestRemark41:
     def test_outside_example(self):
         assert remark41(3.0, 2.0) == (True, True)
+
+    def test_report_decides_holds_and_margin(self):
+        report = remark41_report(3 + 0j, 2.0)
+        assert report["holds"] and report["kind"] == "remark41"
+        assert report["alpha_below_threshold"] and report["outside_disk"]
+        assert report["worst_margin"] == pytest.approx(1 / 2 - 1 / 3, rel=1e-15)
 
     def test_boundary_example(self):
         assert remark41(2.0, 2.0) == (False, False)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,15 @@ class TestBounds:
         assert main(["bounds", "--kind=profile_38", "--lambda=2+0i", "--n=20000"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["p_hat"] > 0
+
+    def test_profile_out_of_double_range_is_refused(self, capsys):
+        # alpha = 500: n^alpha pi_n overflows; it used to print Infinity and pass
+        argv = ["bounds", "--kind=profile_38", "--lambda=0.002+1e-6i", "--n=1000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out
+        assert '"holds": true' not in captured.out
+        assert "alpha = 499.99" in captured.err
 
 
 SWEEP_FLAGS = [
@@ -250,3 +263,18 @@ class TestHugeLambda:
         captured = capsys.readouterr()
         assert "residual" not in captured.out
         assert captured.err.startswith("error: lambda=(-1e+200")
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ceslab", "verify", "--lambda=2", "--n=8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout

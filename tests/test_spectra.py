@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import svdvals
 from ceslab import (
     GridSpec,
     InvalidConfigError,
+    LowerTriangularMatrix,
     NormOptions,
     SweepRecord,
     UnsupportedParameterError,
@@ -28,7 +30,15 @@ from ceslab import (
     spectrum_disk,
     sweep,
 )
+from ceslab.spectra import (
+    DENSE_PRODUCTS_MAX,
+    _ascent_reports,
+    _ascent_starts,
+    _lockstep_ascent,
+)
 from conftest import random_triangular, sample_lambda
+
+EPS = np.finfo(float).eps
 
 
 class TestSpectrumDisk:
@@ -102,11 +112,11 @@ class TestOperatorNorms:
 
     def test_lp_ascent_exactish_on_small_cesaro(self):
         # for p = 2 the ascent can be cross-checked against the SVD oracle
-        from ceslab.spectra import _ascent_lp
+        from ceslab.spectra import _ascent_reports
 
         C = cesaro_matrix(6)
         oracle = svdvals(C.dense())[0]
-        est = _ascent_lp(C, 2.0, NormOptions(), ()).value
+        est = _ascent_reports(lp(2), [C], [NormOptions()], [()])[0].value
         assert est == pytest.approx(oracle, rel=1e-8)
 
     def test_ces0_norm_of_averaging_matrix(self):
@@ -180,6 +190,120 @@ class TestRegularNorm:
         assert op <= reg + 1e-9
 
 
+def sequential_ascent(space, A, starts, opts):
+    """Reference: one start vector at a time, each a plain power-type ascent.
+
+    Returns (value, converged) as the block code should find them: the
+    best ratio over every start and iteration, and whether every start
+    stopped within ``opts.max_iter`` products.
+    """
+    dense = A.dense().astype(complex)
+    n = A.n
+    k = np.arange(1, n + 1)
+
+    def averages(x):
+        return np.cumsum(np.abs(x)) / k
+
+    def space_norm(x):
+        if space.kind == "lp":
+            return np.linalg.norm(x, space.p)
+        return averages(x).max() if space.kind == "ces0" else np.linalg.norm(averages(x), space.p)
+
+    def dual_map(z, q):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phase = np.where(np.abs(z) > 0, z / np.abs(z), 0)
+        return phase * np.abs(z) ** (q - 1.0)
+
+    best, converged = 0.0, True
+    for x0 in starts:
+        x = x0 / space_norm(x0)
+        prev = -np.inf
+        for _ in range(opts.max_iter):
+            y = dense @ x
+            est = space_norm(y)
+            best = max(best, est)
+            if est == 0.0 or est - prev <= opts.rtol * max(est, 1.0):
+                break
+            prev = est
+            if space.kind == "lp":
+                z = dense.conj().T @ dual_map(y, space.p)
+            else:
+                w = averages(y)
+                if space.kind == "ces0":
+                    g = np.zeros(n)
+                    g[np.argmax(w)] = 1.0
+                else:
+                    g = (w / est) ** (space.p - 1.0)
+                dual_c = np.cumsum((g / k)[::-1])[::-1]  # C^T g
+                z = dense.conj().T @ (dual_map(y, 1.0) * dual_c)
+            if np.abs(z).max() == 0:
+                break
+            x = z if space.kind == "ces0" else dual_map(z, dual_exponent(space.p))
+            x = x / space_norm(x)
+        else:
+            converged = False
+    return best, converged
+
+
+class TestLockstep:
+    """A block of L operators gives each the result of its own L = 1 run."""
+
+    # max_iter per space, chosen so that some operators stop within it
+    # and others run out of iterations
+    MAX_ITER = {"lp": 9, "ces": 12, "ces0": 9}
+
+    @pytest.mark.parametrize("n", [24, DENSE_PRODUCTS_MAX + 12])
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_block_matches_single_runs(self, rng, space, n):
+        operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
+        operators += [resolvent_operator(0.45 + 0.5j, n), resolvent_operator(2 + 1j, n)]
+        max_iter = self.MAX_ITER[space.kind]
+        opts = [NormOptions(seed=s, max_iter=max_iter) for s in range(len(operators))]
+        # an escort start for every other operator, so the blocks differ in k
+        extra = [
+            (np.abs(rng.standard_normal(n)),) if i % 2 == 0 else ()
+            for i in range(len(operators))
+        ]
+        block = _ascent_reports(space, operators, opts, extra)
+        single = [
+            operator_norm_report(space, A, o, e) for A, o, e in zip(operators, opts, extra)
+        ]
+        assert {r.converged for r in single} == {True, False}
+        for b, s in zip(block, single):
+            assert b.value == pytest.approx(s.value, rel=4 * EPS, abs=0)
+            assert b.converged == s.converged
+            np.testing.assert_allclose(b.best_vector, s.best_vector, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_block_matches_sequential_reference(self, rng, space):
+        operators = [random_triangular(rng, 20, blocks=2) for _ in range(3)]
+        operators += [resolvent_operator(0.45 + 0.5j, 20).modulus()]
+        # norms below 1, where the stopping rule is absolute
+        operators += [
+            LowerTriangularMatrix(A.d / 1e4, A.u / 1e4, A.v, A.starts, A.ratios)
+            for A in operators[:2]
+        ]
+        opts = NormOptions(max_iter=self.MAX_ITER[space.kind])
+        starts = [_ascent_starts(space, 20, opts, ()) for _ in operators]
+        block = _lockstep_ascent(space, operators, starts, opts)
+        assert {converged for *_, converged in block} == {True, False}
+        for A, s, (value, vector, converged) in zip(operators, starts, block):
+            ref_value, ref_converged = sequential_ascent(space, A, s, opts)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert converged == ref_converged
+            ratio = norm(space, A.matvec(vector)) / norm(space, vector)
+            assert value == pytest.approx(ratio, rel=1e-12)
+
+    def test_values_are_ratios_at_their_vectors(self, rng):
+        operators = [random_triangular(rng, 16, blocks=2) for _ in range(4)]
+        opts = [NormOptions(seed=s) for s in range(4)]
+        for space in (lp(3), ces(2), ces0()):
+            reports = _ascent_reports(space, operators, opts, [()] * 4)
+            for A, r in zip(operators, reports):
+                ratio = norm(space, A.matvec(r.best_vector)) / norm(space, r.best_vector)
+                assert r.value == pytest.approx(ratio, rel=1e-12)
+
+
 class TestGridSpec:
     def test_rows_major_ordering(self):
         grid = GridSpec(0.0, 1.0, 0.0, 1.0, 0.5)
@@ -243,12 +367,38 @@ class TestSweep:
         second = sweep(ces(2), grid, [8, 16], NormOptions(seed=42))
         assert first == second
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_chunking_does_not_change_results(self, space, monkeypatch):
+        # chunks of 8 lambdas at n = 8 and of 2 at n = 16, over 9 lambdas
+        import ceslab.spectra
+
+        monkeypatch.setattr(ceslab.spectra, "_LOCKSTEP_BYTES", 2 * 16 * 16 * 16)
+        chunks = []
+        task = ceslab.spectra._sweep_task
+
+        def counting_task(space, n, chunk):
+            chunks.append((n, len(chunk)))
+            return task(space, n, chunk)
+
+        monkeypatch.setattr(ceslab.spectra, "_sweep_task", counting_task)
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
-        pooled = sweep(lp(3), grid, [8, 16], NormOptions(seed=9))
-        monkeypatch.setenv("CESLAB_THREADS", "1")
-        serial = sweep(lp(3), grid, [8, 16], NormOptions(seed=9))
-        assert pooled == serial
+        opts = NormOptions(seed=9)
+        records = sweep(space, grid, [8, 16], opts)
+        assert chunks == [(8, 8), (8, 1)] + [(16, 2)] * 4 + [(16, 1)]
+
+        expected = []
+        for i, lam in enumerate(grid.points()):
+            for j, n in enumerate([8, 16]):
+                task_opts = replace(opts, seed=opts.seed + 1000003 * i + j)
+                R = resolvent_operator(lam, n)
+                op = operator_norm_report(space, R, task_opts)
+                escort = (np.abs(op.best_vector),)
+                reg = operator_norm_report(space, R.modulus(), task_opts, escort)
+                expected.append((lam, n, op.value, reg.value))
+        assert [(r.lam, r.n) for r in records] == [e[:2] for e in expected]
+        for rec, (_, _, op, reg) in zip(records, expected):
+            assert rec.op_norm_est == pytest.approx(op, rel=4 * EPS, abs=0)
+            assert rec.reg_norm_est == pytest.approx(reg, rel=4 * EPS, abs=0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(InvalidConfigError):

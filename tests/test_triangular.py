@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,27 @@ class TestConstruction:
     def test_dense_matches_generator_entries(self, rng, blocks):
         A = random_triangular(rng, 12, blocks=blocks)
         np.testing.assert_allclose(A.dense(), dense_from_generators(A), rtol=1e-14)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_dense_is_the_product_with_identity(self, rng, blocks, real):
+        # bit for bit: the ratios are carried in the order a running sum applies them
+        A = random_triangular(rng, 30, real=real, blocks=blocks)
+        expected = A.matvec(np.eye(30))
+        dense = A.dense()
+        assert dense.dtype == expected.dtype
+        np.testing.assert_array_equal(dense, expected)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_dense_allocates_little_beyond_its_result(self, rng, real):
+        A = random_triangular(rng, 512, real=real, blocks=2)
+        tracemalloc.start()
+        try:
+            dense = A.dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * dense.nbytes
 
 
 class TestCesaroMatrix:
