@@ -261,6 +261,8 @@ def _profile_bound_report(kind, lam, alpha, n):
     # Finite proxies for the boundedness/decay of the comparison matrix:
     # row sums must have stabilized over the second half of the horizon,
     # columns must have decayed by the expected factor 2^(alpha-1).
+    if n < 2:
+        raise UnsupportedParameterError(f"the {kind} test needs n >= 2, got {n}")
     half = max(2, n // 2)
     sums = _row_sums(alpha, n)
     if kind == "rowsum_46":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedExponentError
+from .errors import InvalidConfigError, UnsupportedExponentError
 
 __all__ = [
     "Space",
@@ -167,11 +167,11 @@ def parse_space(text):
             return lp(p)
         if kind == "ces":
             return ces(p)
-        raise ValueError(f"unknown parametrized space {kind!r}")
+        raise InvalidConfigError(f"unknown parametrized space {kind!r} in {text!r}")
     if text == "linf":
         return linf()
     if text == "c0":
         return c0()
     if text == "ces0":
         return ces0()
-    raise ValueError(f"cannot parse space {text!r}")
+    raise InvalidConfigError(f"cannot parse space {text!r}")

@@ -11,23 +11,22 @@ Operator norms are exact where a closed form exists (max row sums on the
 max-norm spaces, singular values on l^2) and otherwise estimated by a
 dual-exponent ascent iteration that returns the best certified lower bound,
 paired with a row-sum-style upper bound where one is available.  Above
-``NormOptions.svd_cutoff`` the l^2 norm comes from Lanczos
-bidiagonalization (ARPACK through ``scipy.sparse.linalg.svds``) instead of
-a dense SVD.
+SVD_CUTOFF the l^2 norm comes from Lanczos bidiagonalization (ARPACK
+through ``scipy.sparse.linalg.svds``) instead of a dense SVD.
 
 There is one ascent code path, :func:`_lockstep_ascent`, the block form of
-the power method: it runs L operators of one size with all their start
-vectors as one (L, k, n) block of iterates.  A single norm report is its
-L = 1 case; a sweep hands it a chunk of lambdas at once.
+the power method: it stacks L operators of one size into one matrix with
+(L, n) generators (:func:`~ceslab.triangular.stack`) and runs all their
+start vectors as one (k, L, n) block of iterates.  A single norm report is
+its L = 1 case; a sweep hands it a chunk of lambdas at once.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
 ``abs_col_sums()``, ``is_real()`` and ``dense()``, which the generator
 form of :class:`~ceslab.triangular.LowerTriangularMatrix` provides at O(n)
-cost per product.  An operator is stored densely only where that is faster:
-the dense SVD up to the cutoff and the ascents up to DENSE_PRODUCTS_MAX.
-The ces(0) column scan forms |A| _COLUMN_BLOCK columns at a time, so it
-needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
+cost per product.  Only the dense SVD up to SVD_CUTOFF stores an operator
+densely.  The ces(0) column scan forms |A| _COLUMN_BLOCK columns at a
+time, so it needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
 """
 
 import logging
@@ -41,6 +40,7 @@ from .errors import InvalidConfigError, UnsupportedParameterError
 from .resolvent import gamma as gamma_of
 from .resolvent import resolvent_operator
 from .spaces import cesaro_averages, dual_exponent
+from .triangular import stack
 
 __all__ = [
     "SpectralDisk",
@@ -66,16 +66,22 @@ SWEEP_GAMMA_SKIP = 1e-3
 
 DISK_TOLERANCE = 1e-12
 
-# Up to this size the ascents apply one dense copy of the operator: a BLAS
-# product then beats the few numpy calls of an O(n) running sum (the two
-# cost the same near n = 200 on a 2-CPU Xeon).
-DENSE_PRODUCTS_MAX = 200
+# Up to this size l^2 norms use a full SVD of the dense matrix; above it
+# Lanczos bidiagonalization run to machine precision, which needs only
+# products with the matrix and its adjoint.
+SVD_CUTOFF = 64
+
+# Each ascent starts from the ones vector and ASCENT_RESTARTS - 1 seeded
+# random vectors, and a start stops once its ratio rises by no more than
+# ASCENT_RTOL times max(ratio, 1).
+ASCENT_RESTARTS = 5
+ASCENT_RTOL = 1e-10
 
 # The ces(0) column scan forms this many columns of |A| at a time.
 _COLUMN_BLOCK = 256
 
-# A sweep runs the lambdas of one size in chunks whose (L, n, n) stack of
-# dense operators takes at most this many bytes.
+# A sweep runs the lambdas of one size in chunks whose (k, L, n) block of
+# complex iterates takes at most this many bytes.
 _LOCKSTEP_BYTES = 2 * 1024 * 1024
 
 
@@ -114,17 +120,12 @@ class NormOptions:
     """Options for the iterative norm estimators.
 
     ``seed`` drives the random restarts and the Lanczos start vector,
-    making every estimate reproducible; ``svd_cutoff`` is the size up to
-    which l^2 norms use a full singular value decomposition of the dense
-    matrix.  Above it they use Lanczos bidiagonalization run to machine
-    precision, which needs only products with the matrix and its adjoint.
+    making every estimate reproducible; ``max_iter`` caps the products of
+    each ascent start.
     """
 
     seed: int = 0
-    restarts: int = 5
     max_iter: int = 200
-    rtol: float = 1e-10
-    svd_cutoff: int = 64
 
 
 @dataclass
@@ -156,7 +157,7 @@ def _phase(v):
 def _l2_estimate(A, opts):
     n = A.n
     real = A.is_real()
-    if n <= opts.svd_cutoff:
+    if n <= SVD_CUTOFF:
         dense = A.dense()
         if real:
             dense = dense.real  # real SVD is about twice as fast
@@ -199,25 +200,26 @@ def _ces_dual_transpose(g):
 
 
 def _ascent_norms(space, x):
-    # the norm of ``space`` of every row of a stack of vectors
+    # the norm of ``space`` of every row of a stack of vectors, and the
+    # running averages of the rows it was taken from (None in l^p)
     if space.kind == "lp":
-        return np.linalg.norm(x, space.p, axis=-1)
+        return np.linalg.norm(x, space.p, axis=-1), None
     averages = cesaro_averages(x)
     if space.kind == "ces0":
-        return averages.max(axis=-1)
-    return np.linalg.norm(averages, space.p, axis=-1)
+        return averages.max(axis=-1), averages
+    return np.linalg.norm(averages, space.p, axis=-1), averages
 
 
 def _ascent_starts(space, n, opts, extra_starts):
     """The start vectors of one ascent, as the rows of a (k, n) array.
 
-    In order: the ones vector, ``opts.restarts - 1`` seeded random positive
+    In order: the ones vector, ASCENT_RESTARTS - 1 seeded random positive
     vectors, the nonzero ``extra_starts`` of length n and, for ces(0), the
     vertex starts.
     """
     starts = [np.ones(n)]
     rng = np.random.default_rng(opts.seed)
-    for _ in range(max(0, opts.restarts - 1)):
+    for _ in range(ASCENT_RESTARTS - 1):
         starts.append(np.abs(rng.standard_normal(n)))
     for vec in extra_starts:
         v = np.asarray(vec)
@@ -232,14 +234,14 @@ def _lockstep_ascent(space, operators, starts, opts):
     """Dual-exponent power ascents of L operators of one size, in lockstep.
 
     ``starts[i]`` holds the (k_i, n) start vectors of operator i.  The
-    running iterates form one (L, k, n) block, a row per start, and every
-    product is one batched call: up to DENSE_PRODUCTS_MAX a matrix product
-    with a stack of the dense operators, above it each operator's
-    generator product on its rows.  Each row runs the rule of a single
-    ascent (Higham, Numer. Math. 62, 1992): it stops when its ratio stops
-    rising by more than ``opts.rtol`` or a step vanishes, and it keeps its
-    own best ratio.  Stopped rows leave the block, and so does an operator
-    once all its rows have stopped; the dense stack is compacted in place.
+    operators form one stacked matrix with (L, n) generators, and the
+    running iterates one (k, L, n) block, so that every product is one
+    running sum over the whole block.  Each (start, operator) row runs the
+    rule of a single ascent (Higham, Numer. Math. 62, 1992): it stops when
+    its ratio stops rising by more than ASCENT_RTOL or a step vanishes, and
+    it keeps its own best ratio.  Stopped rows leave the block, and so does
+    an operator once all its rows have stopped; the stack is rebuilt from
+    the operators still running.
 
     Every iterate is a unit vector, so each ratio is a certified lower
     bound.  Returns (value, best_vector, converged) per operator: the
@@ -249,115 +251,86 @@ def _lockstep_ascent(space, operators, starts, opts):
     """
     L, n = len(operators), operators[0].n
     k = max(len(s) for s in starts)
+    A = stack(operators)
     # real operators with real starts keep real iterates
-    real = not any(np.iscomplexobj(a) for a in (*starts, *(A.d for A in operators)))
-    dtype = np.float64 if real else np.complex128
-    X = np.zeros((L, k, n), dtype=dtype)
-    live = np.zeros((L, k), dtype=bool)
+    dtype = np.result_type(A.d, *starts)
+    X = np.zeros((k, L, n), dtype=dtype)
+    live = np.zeros((k, L), dtype=bool)
     for i, s in enumerate(starts):
-        X[i, : len(s)] = s
-        live[i, : len(s)] = True
+        X[: len(s), i] = s
+        live[: len(s), i] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = _ascent_norms(space, X)
+        scale, _ = _ascent_norms(space, X)
     live &= scale > 0
     X /= np.where(live, scale, 1.0)[..., None]
-    prev = np.full((L, k), -np.inf)
+    prev = np.full((k, L), -np.inf)
     # best ratio and first iterate reaching it of every (operator, start);
-    # block row (i, j) keeps them at flat position slot[i, j]
+    # block row (j, i) keeps them at flat position slot[j, i] = i k + j
     best = np.zeros(L * k)
     best_x = np.zeros((L * k, n), dtype=dtype)
-    slot = np.arange(L * k).reshape(L, k)
-    owner = np.arange(L)  # the operator of each block row
+    slot = np.arange(L * k).reshape(L, k).T
+    owner = np.arange(L)  # the operator of each block column
     converged = np.zeros(L, dtype=bool)
-
-    if n <= DENSE_PRODUCTS_MAX:
-        stack = np.empty((L, n, n), dtype=dtype)
-        for i, A in enumerate(operators):
-            stack[i] = A.dense()
-
-        def forward(x):
-            return x @ stack[: len(x)].transpose(0, 2, 1)
-
-        def adjoint(y):
-            # rows of A* y are the conjugated rows of conj(y) A
-            return np.conj(np.conj(y) @ stack[: len(y)])
-
-    else:
-
-        def forward(x):
-            return np.stack([operators[i].matvec(r.T).T for i, r in zip(owner, x)])
-
-        def adjoint(y):
-            return np.stack([operators[i].rmatvec(r.T).T for i, r in zip(owner, y)])
 
     p, max_type = space.p, space.kind == "ces0"
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(opts.max_iter):
-            y = forward(X)
-            if space.kind == "lp":
-                est = np.linalg.norm(y, p, axis=-1)
-            else:
-                w = cesaro_averages(y)
-                est = w.max(axis=-1) if max_type else np.linalg.norm(w, p, axis=-1)
+            y = A.matvec(X)
+            est, w = _ascent_norms(space, y)
             better = live & (est > best[slot])
             best[slot[better]] = est[better]
             best_x[slot[better]] = X[better]
-            live &= (est > 0.0) & (est - prev > opts.rtol * np.maximum(est, 1.0))
+            live &= (est > 0.0) & (est - prev > ASCENT_RTOL * np.maximum(est, 1.0))
             prev = est
             # step along the norm's subgradient, pulled back through A*
             if space.kind == "lp":
-                z = adjoint(_lp_dual_map(y, p))
+                z = A.rmatvec(_lp_dual_map(y, p))
             else:
                 if max_type:
                     g = np.zeros_like(w)
                     np.put_along_axis(g, w.argmax(axis=-1)[..., None], 1.0, axis=-1)
                 else:
                     g = (w / est[..., None]) ** (p - 1.0)
-                z = adjoint(_phase(y) * _ces_dual_transpose(g))
+                z = A.rmatvec(_phase(y) * _ces_dual_transpose(g))
             live &= np.abs(z).max(axis=-1) > 0
             if not max_type:
                 z = _lp_dual_map(z, dual_exponent(p))
-            scale = _ascent_norms(space, z)
+            scale, _ = _ascent_norms(space, z)
             live &= scale > 0
             X = z
             X /= scale[..., None]  # stopped rows go stale: no ratio of theirs counts
 
-            counts = live.sum(axis=1)
+            counts = live.sum(axis=0)
             width = counts.max()
-            if width < live.shape[1] or not counts.all():
+            if width < live.shape[0] or not counts.all():
                 # running rows first, in start order; the block narrows to them
                 keep = np.flatnonzero(counts)
                 converged[owner[counts == 0]] = True
-                order = np.argsort(~live[keep], axis=1, kind="stable")[:, :width]
-                rows = keep[:, None], order
-                X, prev, slot = X[rows], prev[rows], slot[rows]
-                live = np.arange(width) < counts[keep][:, None]
-                owner = owner[keep]
-                if n <= DENSE_PRODUCTS_MAX:
-                    for new, old in enumerate(keep):
-                        if new != old:
-                            stack[new] = stack[old]  # in place: new < old
                 if not len(keep):
                     break
+                order = np.argsort(~live[:, keep], axis=0, kind="stable")[:width]
+                rows = order, keep
+                X, prev, slot = X[rows], prev[rows], slot[rows]
+                live = np.arange(width)[:, None] < counts[keep]
+                if len(keep) < len(owner):
+                    owner = owner[keep]
+                    A = stack([operators[i] for i in owner])
+    # each operator's largest ratio and the first row in start order reaching it
     best, best_x = best.reshape(L, k), best_x.reshape(L, k, n)
-    return [_best_of(best[i], best_x[i], bool(converged[i])) for i in range(L)]
-
-
-def _best_of(best, best_x, converged):
-    # the largest ratio of one operator and the first row that reached it
-    j = int(np.argmax(best))
-    if best[j] > 0:
-        return float(best[j]), best_x[j].copy(), converged
-    return 0.0, None, converged
+    top = np.arange(L), best.argmax(axis=1)
+    return [
+        (float(v), x if v > 0 else None, bool(c))
+        for v, x, c in zip(best[top], best_x[top], converged)
+    ]
 
 
 def _ascent_reports(space, operators, opts, extra_starts):
     """Ascent norm reports of L operators of one size in l^p, ces(p) or ces(0).
 
     ``opts[i]`` seeds operator i's random starts and ``extra_starts[i]``
-    adds starts of its own; ``max_iter`` and ``rtol`` come from
-    ``opts[0]``.  l^p reports carry a row/column-sum upper bound; ces(0)
-    reports take the exact best spike start when it beats the ascent.
+    adds starts of its own; ``max_iter`` comes from ``opts[0]``.  l^p
+    reports carry a row/column-sum upper bound; ces(0) reports take the
+    exact best spike start when it beats the ascent.
     """
     starts = [
         _ascent_starts(space, A.n, o, extra)
@@ -409,10 +382,10 @@ def _ces0_column_sup(A):
     best_averages = np.empty(A.n)
     for lo in range(0, A.n, _COLUMN_BLOCK):
         hi = min(A.n, lo + _COLUMN_BLOCK)
-        columns = np.zeros((A.n, hi - lo))
-        columns[lo:hi] = np.eye(hi - lo)
-        block = absA.matvec(columns).real
-        best_averages[lo:hi] = (np.cumsum(block, axis=0) / rows[:, None]).max(axis=0)
+        spikes = np.zeros((hi - lo, A.n))
+        spikes[:, lo:hi] = np.eye(hi - lo)
+        block = absA.matvec(spikes).real  # row m is column m of |A|
+        best_averages[lo:hi] = (np.cumsum(block, axis=-1) / rows).max(axis=-1)
     per_column = best_averages * rows
     m_best = int(np.argmax(per_column))
     spike = np.zeros(A.n, dtype=np.complex128)
@@ -471,6 +444,10 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        for name in ("re_min", "re_max", "im_min", "im_max", "step"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidConfigError(f"grid {name} must be finite, got {value}")
         if not self.step > 0:
             raise InvalidConfigError(f"grid step must be positive, got {self.step}")
         if self.re_min > self.re_max or self.im_min > self.im_max:
@@ -565,8 +542,8 @@ def sweep(space, grid, sizes, opts=None):
     operator- and regular-norm estimates plus disk membership.  Task
     (i, j), the i-th retained lambda at the j-th size, seeds its restarts
     with ``opts.seed + 1000003 i + j``.  The tasks of one size run in
-    chunks of consecutive lambdas whose (L, n, n) stack of dense operators
-    fits _LOCKSTEP_BYTES; the ascents of a chunk run in lockstep.  Chunks
+    chunks of consecutive lambdas whose (k, L, n) block of iterates fits
+    _LOCKSTEP_BYTES; the ascents of a chunk run in lockstep.  Chunks
     run in grid order on the calling thread, and the records come back in
     row-major grid order, sizes ascending within each lambda.
     """
@@ -597,7 +574,9 @@ def sweep(space, grid, sizes, opts=None):
             (lam, replace(opts, seed=opts.seed + 1000003 * i + j), in_disk[i])
             for i, lam in enumerate(retained)
         ]
-        length = max(1, _LOCKSTEP_BYTES // (16 * n * n))
+        # k counts the starts of a regular-norm ascent, escort included
+        k = len(_ascent_starts(space, n, opts, [np.ones(n)]))
+        length = max(1, _LOCKSTEP_BYTES // (16 * k * n))
         for lo in range(0, len(tasks), length):
             chunk_records = _sweep_task(space, n, tasks[lo : lo + length])
             for i, record in enumerate(chunk_records, start=lo):

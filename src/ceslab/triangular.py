@@ -20,33 +20,35 @@ import numpy as np
 
 from .errors import InvalidDimensionError
 
-__all__ = ["LowerTriangularMatrix", "cesaro_matrix", "apply"]
+__all__ = ["LowerTriangularMatrix", "cesaro_matrix", "apply", "stack"]
 
 
 def _carried_sums(z, starts, ratios, reverse=False):
-    """Exclusive running sums of z along axis 0, carried across scale blocks.
+    """Exclusive running sums of z along its last axis, carried across scale blocks.
 
     Forward, out[i] = sum over j < i of z_j; with ``reverse``, out[j] = sum
     over i > j of z_i.  Each block holds its terms in its own scale, so a
     carry entering block q is multiplied by ratios[q] (forward) or by
     ratios[q + 1] (reverse), both exp(shift_{q-1} - shift_q) for the pair
-    of blocks crossed.
+    of blocks crossed.  A ratio may be an array over the leading axes.  The
+    carry seeds the block's running sum, so a block boundary with ratio 1.0
+    leaves every sum bit for bit as it would be without the boundary.
     """
     out = np.empty_like(z)
-    ends = starts[1:] + (z.shape[0],)
+    ends = starts[1:] + (z.shape[-1],)
     order = range(len(starts) - 1, -1, -1) if reverse else range(len(starts))
     for q in order:
-        seg, dst = z[starts[q] : ends[q]], out[starts[q] : ends[q]]
+        seg, dst = z[..., starts[q] : ends[q]], out[..., starts[q] : ends[q]]
         if reverse:
-            seg, dst = seg[::-1], dst[::-1]
-        np.cumsum(seg[:-1], axis=0, out=dst[1:])
+            seg, dst = seg[..., ::-1], dst[..., ::-1]
         if q == order[0]:
-            dst[0] = 0.0
+            dst[..., 0] = 0.0
+            np.cumsum(seg[..., :-1], axis=-1, out=dst[..., 1:])
         else:
             carry = carry * ratios[q + 1 if reverse else q]
-            dst[0] = carry
-            dst[1:] += carry
-        carry = dst[-1] + seg[-1]
+            seeded = np.concatenate((carry[..., None], seg[..., :-1]), axis=-1)
+            np.cumsum(seeded, axis=-1, out=dst)
+        carry = dst[..., -1] + seg[..., -1]
     return out
 
 
@@ -62,9 +64,12 @@ class LowerTriangularMatrix:
     adjoint or its modulus is a running sum: O(n) time and memory.
     Instances are immutable.
 
+    Generators with leading axes stand for a batch of matrices of one size
+    (see :func:`stack`); the ratios are then arrays over the batch.
+
     Parameters
     ----------
-    d, u, v : 1-D arrays of length n >= 1, real or complex, all finite
+    d, u, v : arrays of one shape (..., n), n >= 1, real or complex, all finite
     starts, ratios : the scale blocks; one block by default
     """
 
@@ -76,13 +81,13 @@ class LowerTriangularMatrix:
         d, u, v = np.asarray(d), np.asarray(u), np.asarray(v)
         dtype = np.result_type(d, u, v, np.float64)
         d, u, v = (a.astype(dtype, copy=False) for a in (d, u, v))
-        if d.ndim != 1 or d.shape[0] < 1:
+        if d.ndim < 1 or d.shape[-1] < 1:
             raise InvalidDimensionError(f"matrix size must be >= 1, got {d.shape}")
-        n = d.shape[0]
-        if u.shape != (n,) or v.shape != (n,):
+        n = d.shape[-1]
+        if u.shape != d.shape or v.shape != d.shape:
             raise InvalidDimensionError(
-                f"generators of size {n} must have length {n}, "
-                f"got shapes {u.shape} and {v.shape}"
+                f"generators u and v must have the shape {d.shape} of d, "
+                f"got {u.shape} and {v.shape}"
             )
         if not all(np.isfinite(a).all() for a in (d, u, v)):
             raise ValueError("matrix generators must be finite (no NaN/Inf)")
@@ -94,21 +99,16 @@ class LowerTriangularMatrix:
         self.ratios = tuple(ratios)
 
     def matvec(self, x):
-        """The product A x; ``x`` is a vector or an (n, k) block of columns."""
-        x = np.asarray(x)
-        col = (lambda a: a[:, None]) if x.ndim == 2 else (lambda a: a)
-        y = col(self.u) * _carried_sums(col(self.v) * x, self.starts, self.ratios)
-        y += col(self.d) * x
+        """The product A x along the last axis of ``x``, broadcast over the rest."""
+        y = self.u * _carried_sums(self.v * x, self.starts, self.ratios)
+        y += self.d * x
         return y
 
     def rmatvec(self, y):
-        """The adjoint product A* y; ``y`` is a vector or an (n, k) block."""
-        y = np.asarray(y)
-        col = (lambda a: a[:, None]) if y.ndim == 2 else (lambda a: a)
-        z = col(self.u).conj() * y
-        x = _carried_sums(z, self.starts, self.ratios, reverse=True)
-        x *= col(self.v).conj()
-        x += col(self.d).conj() * y
+        """The adjoint product A* y along the last axis of ``y``."""
+        x = _carried_sums(self.u.conj() * y, self.starts, self.ratios, reverse=True)
+        x *= self.v.conj()
+        x += self.d.conj() * y
         return x
 
     def modulus(self):
@@ -124,7 +124,7 @@ class LowerTriangularMatrix:
         return self.modulus().rmatvec(np.ones(self.n))
 
     def dense(self):
-        """The dense (n, n) array, filled from u v^T one scale block at a time.
+        """The dense (n, n) array of a single matrix, filled one scale block at a time.
 
         Each row block is written in place; the only temporary of size n^2
         is a boolean mask of the diagonal block.  The v_j of earlier blocks
@@ -176,3 +176,21 @@ def apply(A, x):
             f"vector of length {x.shape} does not match matrix size {A.n}"
         )
     return A.matvec(x)
+
+
+def stack(matrices):
+    """One matrix with (L, n) generators whose products act on L matrices at once.
+
+    Row i of ``stack(ms).matvec(X)`` is ``ms[i].matvec(X[..., i, :])``, bit
+    for bit.  The blocks are the union of the matrices' block starts; a
+    matrix has ratio 1.0 at a start that is not its own, which leaves its
+    running sums unchanged.
+    """
+    n = matrices[0].n
+    if any(A.n != n for A in matrices):
+        raise InvalidDimensionError("stacked matrices must share one size")
+    own = [dict(zip(A.starts, A.ratios)) for A in matrices]
+    starts = sorted(set().union(*own))
+    ratios = [np.array([r.get(s, 1.0) for r in own]) for s in starts]
+    d, u, v = (np.stack([getattr(A, f) for A in matrices]) for f in "duv")
+    return LowerTriangularMatrix(d, u, v, starts, ratios)

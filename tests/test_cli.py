@@ -265,6 +265,30 @@ class TestHugeLambda:
         assert captured.err.startswith("error: lambda=(-1e+200")
 
 
+class TestBadInput:
+    """Malformed input ends in one error line and an exit code, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["norms", "--spaces=foo", "--sizes=8"], 1, "cannot parse space 'foo'"),
+            (["norms", "--spaces=lq:2", "--sizes=8"], 1, "space 'lq' in 'lq:2'"),
+            ([*SWEEP_FLAGS, "--space=bogus"], 1, "cannot parse space 'bogus'"),
+            ([*SWEEP_FLAGS, "--re-min=nan"], 1, "grid re_min must be finite"),
+            ([*SWEEP_FLAGS, "--re-max=inf"], 1, "grid re_max must be finite"),
+            ([*SWEEP_FLAGS, "--step=nan"], 1, "grid step must be finite"),
+            (["bounds", "--kind=collimit_49", "--alpha=0.5", "--n=0"], 2, "got 0"),
+            (["bounds", "--kind=rowsum_46", "--alpha=0.5", "--n=1"], 2, "got 1"),
+        ],
+    )
+    def test_exits_with_one_error_line(self, argv, code, message, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_module_entry_point_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

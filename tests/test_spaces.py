@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceslab import (
+    InvalidConfigError,
     UnsupportedExponentError,
     apply,
     c0,
@@ -64,7 +65,7 @@ class TestSpaceFactories:
         assert parse_space(text) == space
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             parse_space("banach")
 
 

@@ -31,7 +31,7 @@ from ceslab import (
     sweep,
 )
 from ceslab.spectra import (
-    DENSE_PRODUCTS_MAX,
+    ASCENT_RTOL,
     _ascent_reports,
     _ascent_starts,
     _lockstep_ascent,
@@ -123,10 +123,13 @@ class TestOperatorNorms:
         value = operator_norm_estimate(ces0(), cesaro_matrix(40))
         assert value == pytest.approx(1.0, rel=1e-12)
 
-    def test_lanczos_branch_matches_svd(self, rng):
+    def test_lanczos_branch_matches_svd(self, rng, monkeypatch):
+        import ceslab.spectra
+
         A = random_triangular(rng, 48, blocks=2)
         exact = operator_norm_estimate(lp(2), A)
-        report = operator_norm_report(lp(2), A, NormOptions(svd_cutoff=16))
+        monkeypatch.setattr(ceslab.spectra, "SVD_CUTOFF", 16)
+        report = operator_norm_report(lp(2), A)
         assert report.method == "lanczos"
         assert report.converged
         assert report.value == pytest.approx(exact, rel=1e-12)
@@ -143,8 +146,9 @@ class TestOperatorNorms:
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((48, 0)))
 
         monkeypatch.setattr(ceslab.spectra, "svds", fail)
+        monkeypatch.setattr(ceslab.spectra, "SVD_CUTOFF", 16)
         A = random_triangular(rng, 48)
-        report = operator_norm_report(lp(2), A, NormOptions(svd_cutoff=16))
+        report = operator_norm_report(lp(2), A)
         assert report.method == "lanczos" and not report.converged
         # the value is the norm ratio at an actual unit vector
         assert np.linalg.norm(report.best_vector) == pytest.approx(1.0)
@@ -222,7 +226,7 @@ def sequential_ascent(space, A, starts, opts):
             y = dense @ x
             est = space_norm(y)
             best = max(best, est)
-            if est == 0.0 or est - prev <= opts.rtol * max(est, 1.0):
+            if est == 0.0 or est - prev <= ASCENT_RTOL * max(est, 1.0):
                 break
             prev = est
             if space.kind == "lp":
@@ -252,7 +256,7 @@ class TestLockstep:
     # and others run out of iterations
     MAX_ITER = {"lp": 9, "ces": 12, "ces0": 9}
 
-    @pytest.mark.parametrize("n", [24, DENSE_PRODUCTS_MAX + 12])
+    @pytest.mark.parametrize("n", [24, 212])
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_block_matches_single_runs(self, rng, space, n):
         operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
@@ -367,9 +371,16 @@ class TestSweep:
         second = sweep(ces(2), grid, [8, 16], NormOptions(seed=42))
         assert first == second
 
+    # chunks over 9 lambdas whose (k, L, n) iterate block fits 8192 bytes:
+    # k = 6 starts in l^p and ces(p), 13 (n = 8) or 14 (n = 16) in ces(0)
+    CHUNKS = {
+        "lp": [(8, 9), (16, 5), (16, 4)],
+        "ces": [(8, 9), (16, 5), (16, 4)],
+        "ces0": [(8, 4), (8, 4), (8, 1)] + [(16, 2)] * 4 + [(16, 1)],
+    }
+
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_chunking_does_not_change_results(self, space, monkeypatch):
-        # chunks of 8 lambdas at n = 8 and of 2 at n = 16, over 9 lambdas
         import ceslab.spectra
 
         monkeypatch.setattr(ceslab.spectra, "_LOCKSTEP_BYTES", 2 * 16 * 16 * 16)
@@ -384,7 +395,7 @@ class TestSweep:
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
         opts = NormOptions(seed=9)
         records = sweep(space, grid, [8, 16], opts)
-        assert chunks == [(8, 8), (8, 1)] + [(16, 2)] * 4 + [(16, 1)]
+        assert chunks == self.CHUNKS[space.kind]
 
         expected = []
         for i, lam in enumerate(grid.points()):

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ceslab import InvalidDimensionError, LowerTriangularMatrix, apply, cesaro_matrix
+from ceslab import (
+    InvalidDimensionError,
+    LowerTriangularMatrix,
+    apply,
+    cesaro_matrix,
+    stack,
+)
 from conftest import cesaro_section, random_triangular, random_vector
 
 
@@ -50,7 +56,7 @@ class TestConstruction:
     def test_dense_is_the_product_with_identity(self, rng, blocks, real):
         # bit for bit: the ratios are carried in the order a running sum applies them
         A = random_triangular(rng, 30, real=real, blocks=blocks)
-        expected = A.matvec(np.eye(30))
+        expected = A.matvec(np.eye(30)).T
         dense = A.dense()
         assert dense.dtype == expected.dtype
         np.testing.assert_array_equal(dense, expected)
@@ -65,6 +71,41 @@ class TestConstruction:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * dense.nbytes
+
+
+class TestStack:
+    """A stack's products are its matrices' own products, bit for bit."""
+
+    # (blocks, real): scale blocks start at 0, 10, 15 and 20 for n = 31
+    KINDS = [(1, False), (2, True), (3, False), (2, False), (3, True)]
+
+    def matrices(self, rng, n):
+        return [random_triangular(rng, n, real=r, blocks=b) for b, r in self.KINDS]
+
+    @pytest.mark.parametrize("real_x", [False, True])
+    def test_rows_are_the_single_products(self, rng, real_x):
+        ms = self.matrices(rng, 31)
+        S = stack(ms)
+        assert S.starts == (0, 10, 15, 20)
+        X = rng.standard_normal((4, len(ms), 31))
+        if not real_x:
+            X = X + 1j * rng.standard_normal(X.shape)
+        forward, adjoint = S.matvec(X), S.rmatvec(X)
+        for i, A in enumerate(ms):
+            np.testing.assert_array_equal(forward[:, i], A.matvec(X[:, i]))
+            np.testing.assert_array_equal(adjoint[:, i], A.rmatvec(X[:, i]))
+
+    def test_modulus_is_the_stack_of_moduli(self, rng):
+        ms = self.matrices(rng, 31)
+        S, T = stack(ms).modulus(), stack([A.modulus() for A in ms])
+        for f in "duv":
+            np.testing.assert_array_equal(getattr(S, f), getattr(T, f))
+        assert S.starts == T.starts
+        np.testing.assert_array_equal(S.ratios, T.ratios)
+
+    def test_sizes_must_agree(self):
+        with pytest.raises(InvalidDimensionError):
+            stack([cesaro_matrix(3), cesaro_matrix(4)])
 
 
 class TestCesaroMatrix:
