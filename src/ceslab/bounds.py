@@ -293,6 +293,8 @@ def comparison_matrix_report(kind, alpha, n):
     if kind not in ("rowsum_46", "collimit_49"):
         raise ValueError(f"kind must be rowsum_46 or collimit_49, got {kind!r}")
     alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise UnsupportedParameterError(f"alpha must be finite, got {alpha}")
     if alpha >= 1.0:
         raise WrongRegimeError(
             f"comparison matrix undefined at alpha = {alpha}", "alpha < 1"
@@ -310,9 +312,12 @@ def remark41(lam, b):
     if lam == 0:
         raise UnsupportedParameterError("lambda must be nonzero")
     b = float(b)
-    if not b > 0:
-        raise UnsupportedParameterError(f"b must be positive, got {b}")
-    return (alpha_of(lam) < 1.0 / b, abs(lam - b / 2.0) > b / 2.0)
+    if not 0 < b < np.inf:
+        raise UnsupportedParameterError(f"b must be positive and finite, got {b}")
+    alpha = alpha_of(lam)
+    if not np.isfinite(alpha):
+        raise UnsupportedParameterError(f"Re(1/lambda) is not finite at lambda={lam}")
+    return (alpha < 1.0 / b, abs(lam - b / 2.0) > b / 2.0)
 
 
 def remark41_report(lam, b):

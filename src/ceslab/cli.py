@@ -35,7 +35,7 @@ from .errors import (
 )
 from .resolvent import GAMMA_FLOOR, alpha_of, nearest_pole, residual
 from .spaces import parse_space
-from .spectra import GridSpec, NormOptions, classify_growth, operator_norm_estimate, sweep
+from .spectra import GridSpec, classify_growth, operator_norm_report, sweep
 from .triangular import cesaro_matrix
 
 __all__ = ["main", "parse_complex", "format_float"]
@@ -272,7 +272,7 @@ def _cmd_sweep(args):
         im_max=settings["im_max"],
         step=settings["step"],
     )
-    records = sweep(space, grid, sizes, NormOptions(seed=int(settings["seed"])))
+    records = sweep(space, grid, sizes, seed=int(settings["seed"]))
     rows = _records_with_verdicts(records)
     text = _render_csv(rows) if fmt == "csv" else _render_json(rows)
     output = settings["output"]
@@ -294,11 +294,10 @@ def _cmd_norms(args):
     spaces = [parse_space(tok) for tok in args.spaces.split(",") if tok.strip()]
     if not spaces:
         raise InvalidConfigError("no spaces given")
-    opts = NormOptions(seed=args.seed)
     table = []
     for n in sizes:
         C = cesaro_matrix(n)
-        table.append([operator_norm_estimate(sp, C, opts) for sp in spaces])
+        table.append([operator_norm_report(sp, C, args.seed).value for sp in spaces])
     if args.json:
         payload = {
             "sizes": sizes,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import NormOptions, operator_norm_report
+from .spectra import operator_norm_report
 from .triangular import LowerTriangularMatrix
 
 __all__ = [
@@ -52,7 +52,7 @@ class DiagNormReport:
     matches_max_modulus: bool | None
 
 
-def diag_norm_equality_check(space, phi, opts=None, tol=EQUALITY_TOLERANCE):
+def diag_norm_equality_check(space, phi, seed=0, tol=EQUALITY_TOLERANCE):
     """Check op-norm/regular-norm equality of diag(phi) in ``space``.
 
     For the lp/linf/c0 spaces both norms must additionally equal
@@ -60,10 +60,9 @@ def diag_norm_equality_check(space, phi, opts=None, tol=EQUALITY_TOLERANCE):
     compared against the max (the finite sections need not realize it).
     """
     phi = np.asarray(phi, dtype=np.complex128)
-    opts = opts or NormOptions()
     A = diag_operator(phi)
-    op = operator_norm_report(space, A, opts).value
-    reg = operator_norm_report(space, A.modulus(), opts).value
+    op = operator_norm_report(space, A, seed).value
+    reg = operator_norm_report(space, A.modulus(), seed).value
     max_mod = float(np.abs(phi).max()) if phi.size else 0.0
     difference = abs(op - reg)
     matches = None

@@ -37,7 +37,6 @@ __all__ = [
     "GAMMA_FLOOR",
     "gamma",
     "nearest_pole",
-    "in_sigma_zero",
     "alpha_of",
     "diagonal_part",
     "comparison_operator",
@@ -98,23 +97,6 @@ def gamma(lam):
     return nearest_pole(lam)[1]
 
 
-def in_sigma_zero(lam, n_max=10**12):
-    """Exact membership of lambda in {0} u {1/n : n <= n_max}, at float resolution."""
-    lam = complex(lam)
-    if lam == 0:
-        return True
-    if lam.imag != 0.0:
-        return False
-    re = lam.real
-    if re <= 0.0:
-        return False
-    n0 = int(1.0 / re)
-    for n in (n0 - 1, n0, n0 + 1, n0 + 2):
-        if 1 <= n <= n_max and re == 1.0 / n:
-            return True
-    return False
-
-
 def alpha_of(lam):
     """Re(1/lambda), the single parameter governing growth and disk membership."""
     lam = complex(lam)
@@ -124,6 +106,8 @@ def alpha_of(lam):
 
 
 def _require_off_sigma_zero(lam, floor=GAMMA_FLOOR):
+    if not cmath.isfinite(lam):
+        raise UnsupportedParameterError(f"lambda={lam} is not finite")
     point, dist = nearest_pole(lam)
     if dist <= floor:
         raise LambdaInSigmaZeroError(lam, dist, point)

@@ -14,11 +14,11 @@ paired with a row-sum-style upper bound where one is available.  Above
 SVD_CUTOFF the l^2 norm comes from Lanczos bidiagonalization (ARPACK
 through ``scipy.sparse.linalg.svds``) instead of a dense SVD.
 
-There is one ascent code path, :func:`_lockstep_ascent`, the block form of
-the power method: it stacks L operators of one size into one matrix with
-(L, n) generators (:func:`~ceslab.triangular.stack`) and runs all their
-start vectors as one (k, L, n) block of iterates.  A single norm report is
-its L = 1 case; a sweep hands it a chunk of lambdas at once.
+There is one norm-report path, :func:`_norm_reports`, for one operator or
+a sweep chunk of L of one size: it stacks them into one matrix with (L, n)
+generators (:func:`~ceslab.triangular.stack`), takes the row sums and l^p
+upper bounds from the stack, and runs Lanczos per operator or the block
+power method :func:`_lockstep_ascent` on one (k, L, n) block of iterates.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
@@ -30,7 +30,7 @@ time, so it needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,13 +47,10 @@ __all__ = [
     "SweepRecord",
     "GrowthVerdict",
     "GridSpec",
-    "NormOptions",
     "NormEstimate",
     "spectrum_disk",
     "in_spectrum",
-    "operator_norm_estimate",
     "operator_norm_report",
-    "regular_norm_estimate",
     "sweep",
     "classify_growth",
 ]
@@ -66,6 +63,9 @@ SWEEP_GAMMA_SKIP = 1e-3
 
 DISK_TOLERANCE = 1e-12
 
+# A lambda grid may hold at most this many points (the README grid has 441).
+GRID_POINTS_MAX = 10**6
+
 # Up to this size l^2 norms use a full SVD of the dense matrix; above it
 # Lanczos bidiagonalization run to machine precision, which needs only
 # products with the matrix and its adjoint.
@@ -73,9 +73,10 @@ SVD_CUTOFF = 64
 
 # Each ascent starts from the ones vector and ASCENT_RESTARTS - 1 seeded
 # random vectors, and a start stops once its ratio rises by no more than
-# ASCENT_RTOL times max(ratio, 1).
+# ASCENT_RTOL times max(ratio, 1) or after ASCENT_MAX_ITER products.
 ASCENT_RESTARTS = 5
 ASCENT_RTOL = 1e-10
+ASCENT_MAX_ITER = 200
 
 # The ces(0) column scan forms this many columns of |A| at a time.
 _COLUMN_BLOCK = 256
@@ -115,19 +116,6 @@ def in_spectrum(space, lam, tol=DISK_TOLERANCE):
     return spectrum_disk(space).contains(lam, tol=tol)
 
 
-@dataclass(frozen=True)
-class NormOptions:
-    """Options for the iterative norm estimators.
-
-    ``seed`` drives the random restarts and the Lanczos start vector,
-    making every estimate reproducible; ``max_iter`` caps the products of
-    each ascent start.
-    """
-
-    seed: int = 0
-    max_iter: int = 200
-
-
 @dataclass
 class NormEstimate:
     """A norm estimate with its provenance.
@@ -154,7 +142,7 @@ def _phase(v):
     return out
 
 
-def _l2_estimate(A, opts):
+def _l2_estimate(A, seed, upper):
     n = A.n
     real = A.is_real()
     if n <= SVD_CUTOFF:
@@ -171,7 +159,7 @@ def _l2_estimate(A, opts):
         rmatvec=lambda y: cast(A.rmatvec(np.ravel(y))),
         dtype=dtype,
     )
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     if not real:
         v0 = v0 + 1j * rng.standard_normal(n)
@@ -184,7 +172,6 @@ def _l2_estimate(A, opts):
         vector = found[:, -1] if found.ndim == 2 and found.shape[1] else v0
         vector = vector / np.linalg.norm(vector)
         value, converged = float(np.linalg.norm(A.matvec(vector))), False
-    upper = float(np.sqrt(A.abs_row_sums().max() * A.abs_col_sums().max()))
     return NormEstimate(value, upper, "lanczos", False, converged, vector)
 
 
@@ -210,7 +197,7 @@ def _ascent_norms(space, x):
     return np.linalg.norm(averages, space.p, axis=-1), averages
 
 
-def _ascent_starts(space, n, opts, extra_starts):
+def _ascent_starts(space, n, seed, extra_starts):
     """The start vectors of one ascent, as the rows of a (k, n) array.
 
     In order: the ones vector, ASCENT_RESTARTS - 1 seeded random positive
@@ -218,7 +205,7 @@ def _ascent_starts(space, n, opts, extra_starts):
     vertex starts.
     """
     starts = [np.ones(n)]
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(ASCENT_RESTARTS - 1):
         starts.append(np.abs(rng.standard_normal(n)))
     for vec in extra_starts:
@@ -230,7 +217,7 @@ def _ascent_starts(space, n, opts, extra_starts):
     return np.array(starts)
 
 
-def _lockstep_ascent(space, operators, starts, opts):
+def _lockstep_ascent(space, operators, starts):
     """Dual-exponent power ascents of L operators of one size, in lockstep.
 
     ``starts[i]`` holds the (k_i, n) start vectors of operator i.  The
@@ -247,7 +234,7 @@ def _lockstep_ascent(space, operators, starts, opts):
     bound.  Returns (value, best_vector, converged) per operator: the
     largest ratio, the first iterate in start order that reached it (None
     if no ratio was positive), and whether every row stopped within
-    ``opts.max_iter`` products.
+    ASCENT_MAX_ITER products.
     """
     L, n = len(operators), operators[0].n
     k = max(len(s) for s in starts)
@@ -274,7 +261,7 @@ def _lockstep_ascent(space, operators, starts, opts):
 
     p, max_type = space.p, space.kind == "ces0"
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(opts.max_iter):
+        for _ in range(ASCENT_MAX_ITER):
             y = A.matvec(X)
             est, w = _ascent_norms(space, y)
             better = live & (est > best[slot])
@@ -324,36 +311,6 @@ def _lockstep_ascent(space, operators, starts, opts):
     ]
 
 
-def _ascent_reports(space, operators, opts, extra_starts):
-    """Ascent norm reports of L operators of one size in l^p, ces(p) or ces(0).
-
-    ``opts[i]`` seeds operator i's random starts and ``extra_starts[i]``
-    adds starts of its own; ``max_iter`` comes from ``opts[0]``.  l^p
-    reports carry a row/column-sum upper bound; ces(0) reports take the
-    exact best spike start when it beats the ascent.
-    """
-    starts = [
-        _ascent_starts(space, A.n, o, extra)
-        for A, o, extra in zip(operators, opts, extra_starts)
-    ]
-    reports = []
-    for A, (value, vector, converged) in zip(
-        operators, _lockstep_ascent(space, operators, starts, opts[0])
-    ):
-        upper = None
-        if space.kind == "lp":
-            upper = float(
-                A.abs_col_sums().max() ** (1.0 / space.p)
-                * A.abs_row_sums().max() ** (1.0 / dual_exponent(space.p))
-            )
-        if space.kind == "ces0":
-            spike_value, spike = _ces0_column_sup(A)
-            if spike_value > value:
-                value, vector = spike_value, spike
-        reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
-    return reports
-
-
 def _ces0_vertex_starts(n):
     # extreme rays of the ces(0) unit ball reachable in closed form:
     # scaled basis spikes m e_m and tail-ones vectors
@@ -393,40 +350,51 @@ def _ces0_column_sup(A):
     return float(per_column[m_best]), spike
 
 
-def operator_norm_report(space, A, opts=None, extra_starts=()):
-    """Full norm-estimation report; see :func:`operator_norm_estimate`."""
-    opts = opts or NormOptions()
+def _norm_reports(space, operators, seeds, extra_starts):
+    """Norm reports of L operators of one size acting from ``space`` to itself.
+
+    ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
+    and ``extra_starts[i]`` adds ascent starts of its own.  The max-norm
+    row sums and the l^p upper bound colmax^(1/p) rowmax^(1/p') come from
+    one stack of all L operators.  ces(0) reports take the exact best
+    spike start when it beats the ascent.
+    """
     kind = space.kind
-    if kind in ("linf", "c0"):
-        value = float(A.abs_row_sums().max())
-        return NormEstimate(value, value, "rowsum", True, True)
-    if kind == "lp" and space.p == 2.0:
-        return _l2_estimate(A, opts)
-    if kind in ("lp", "ces", "ces0"):
-        return _ascent_reports(space, [A], [opts], [extra_starts])[0]
-    raise ValueError(f"unknown space kind {space.kind!r}")
+    if kind not in ("lp", "linf", "c0", "ces", "ces0"):
+        raise ValueError(f"unknown space kind {space.kind!r}")
+    uppers = [None] * len(operators)
+    if kind in ("lp", "linf", "c0"):
+        stacked = stack(operators)
+        rows = stacked.abs_row_sums().max(axis=-1)
+        if kind != "lp":
+            return [NormEstimate(v, v, "rowsum", True, True) for v in rows.tolist()]
+        cols = stacked.abs_col_sums().max(axis=-1)
+        uppers = (cols ** (1.0 / space.p) * rows ** (1.0 / dual_exponent(space.p))).tolist()
+        if space.p == 2.0:
+            return [_l2_estimate(A, s, u) for A, s, u in zip(operators, seeds, uppers)]
+    triples = zip(operators, seeds, extra_starts)
+    starts = [_ascent_starts(space, A.n, seed, extra) for A, seed, extra in triples]
+    ascents = _lockstep_ascent(space, operators, starts)
+    reports = []
+    for A, upper, (value, vector, converged) in zip(operators, uppers, ascents):
+        if kind == "ces0":
+            spike_value, spike = _ces0_column_sup(A)
+            if spike_value > value:
+                value, vector = spike_value, spike
+        reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
+    return reports
 
 
-def operator_norm_estimate(space, A, opts=None):
-    """Operator norm of A acting from ``space`` to itself.
+def operator_norm_report(space, A, seed=0, extra_starts=()):
+    """Operator norm of A acting from ``space`` to itself: the L = 1 report.
 
     Exact for the max-norm spaces (largest absolute row sum) and for l^2
-    (largest singular value: a dense SVD up to the cutoff, Lanczos above
-    it); elsewhere the value is the best lower bound found by
-    dual-exponent ascent with seeded restarts.  ``A`` is any operator
-    with the interface described in the module docstring.
+    (largest singular value); elsewhere the best lower bound found by
+    dual-exponent ascent with restarts seeded by ``seed``.  The regular
+    norm of A is the norm of ``A.modulus()``, the least positive operator
+    dominating A on these coordinatewise lattices.
     """
-    return operator_norm_report(space, A, opts).value
-
-
-def regular_norm_estimate(space, A, opts=None):
-    """Regular norm of A: the operator norm of its entrywise modulus.
-
-    On these coordinatewise lattices the modulus matrix is the least
-    positive operator dominating A, so its norm realizes the infimum
-    defining the regular norm; for positive A the two norms coincide.
-    """
-    return operator_norm_report(space, A.modulus(), opts).value
+    return _norm_reports(space, [A], [seed], [extra_starts])[0]
 
 
 @dataclass(frozen=True)
@@ -452,18 +420,27 @@ class GridSpec:
             raise InvalidConfigError(f"grid step must be positive, got {self.step}")
         if self.re_min > self.re_max or self.im_min > self.im_max:
             raise InvalidConfigError("grid extents must satisfy min <= max")
+        count = 1.0
         for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
             extent = hi - lo
             if 0.0 < extent < self.step:
                 raise InvalidConfigError(
                     f"step {self.step} exceeds grid extent {extent}; empty grid"
                 )
+            count *= self._count(lo, hi)
+        if not count <= GRID_POINTS_MAX:
+            raise InvalidConfigError(
+                f"step {self.step} gives {count:.3g} grid points (max {GRID_POINTS_MAX})"
+            )
+
+    def _count(self, lo, hi):
+        # points on one axis, as a float that is inf where extent / step overflows
+        return 1.0 if hi == lo else np.floor((hi - lo) / self.step + 1e-9) + 1.0
 
     def _axis(self, lo, hi):
         if hi == lo:
             return np.array([lo])
-        count = int(np.floor((hi - lo) / self.step + 1e-9)) + 1
-        return lo + self.step * np.arange(count)
+        return lo + self.step * np.arange(int(self._count(lo, hi)))
 
     def points(self):
         """Grid points ordered row-major: imaginary part outer, real inner."""
@@ -495,26 +472,17 @@ class GrowthVerdict:
 
 # wrapped by perfbench/tracer.py, which times each call as span spectra.sweep_task
 def _sweep_task(space, n, chunk):
-    """Records of one chunk of (lambda, opts, in_disk) tasks at size n.
+    """Records of one chunk of (lambda, seed, in_disk) tasks at size n.
 
-    Every operator-norm report of the chunk comes first, then every
-    regular-norm report, whose ascent also starts from the escort |x*| of
-    its operator's best vector; that pins reg >= op structurally.  Ascent
-    spaces run each pass as one lockstep block; l^2 and the row sums run
-    per lambda.
+    One :func:`_norm_reports` call gives every operator norm of the chunk,
+    and a second every regular norm, whose ascent also starts from the
+    escort |x*| of its operator's best vector; that pins reg >= op.
     """
     resolvents = [resolvent_operator(lam, n) for lam, _, _ in chunk]
-    opts = [task_opts for _, task_opts, _ in chunk]
-    ascent = space.kind in ("ces", "ces0") or (space.kind == "lp" and space.p != 2.0)
-
-    def reports(operators, extra_starts):
-        if ascent:
-            return _ascent_reports(space, operators, opts, extra_starts)
-        return [operator_norm_report(space, A, o) for A, o in zip(operators, opts)]
-
-    ops = reports(resolvents, [()] * len(chunk))
+    seeds = [seed for _, seed, _ in chunk]
+    ops = _norm_reports(space, resolvents, seeds, [()] * len(chunk))
     escorts = [() if op.best_vector is None else (np.abs(op.best_vector),) for op in ops]
-    regs = reports([R.modulus() for R in resolvents], escorts)
+    regs = _norm_reports(space, [R.modulus() for R in resolvents], seeds, escorts)
     return [
         SweepRecord(
             lam=lam,
@@ -533,7 +501,7 @@ def _max_workers():
     return 1
 
 
-def sweep(space, grid, sizes, opts=None):
+def sweep(space, grid, sizes, seed=0):
     """Resolvent-norm sweep over a lambda grid at several truncation sizes.
 
     Points within SWEEP_GAMMA_SKIP of a pole are skipped and logged.  Each
@@ -541,13 +509,12 @@ def sweep(space, grid, sizes, opts=None):
     form (:func:`~ceslab.resolvent.resolvent_operator`) and records
     operator- and regular-norm estimates plus disk membership.  Task
     (i, j), the i-th retained lambda at the j-th size, seeds its restarts
-    with ``opts.seed + 1000003 i + j``.  The tasks of one size run in
+    with ``seed + 1000003 i + j``.  The tasks of one size run in
     chunks of consecutive lambdas whose (k, L, n) block of iterates fits
     _LOCKSTEP_BYTES; the ascents of a chunk run in lockstep.  Chunks
     run in grid order on the calling thread, and the records come back in
     row-major grid order, sizes ascending within each lambda.
     """
-    opts = opts or NormOptions()
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidConfigError(f"sizes must be nonempty ascending, got {sizes}")
@@ -571,11 +538,11 @@ def sweep(space, grid, sizes, opts=None):
     records = {}
     for j, n in enumerate(sizes):
         tasks = [
-            (lam, replace(opts, seed=opts.seed + 1000003 * i + j), in_disk[i])
+            (lam, seed + 1000003 * i + j, in_disk[i])
             for i, lam in enumerate(retained)
         ]
         # k counts the starts of a regular-norm ascent, escort included
-        k = len(_ascent_starts(space, n, opts, [np.ones(n)]))
+        k = len(_ascent_starts(space, n, seed, [np.ones(n)]))
         length = max(1, _LOCKSTEP_BYTES // (16 * k * n))
         for lo in range(0, len(tasks), length):
             chunk_records = _sweep_task(space, n, tasks[lo : lo + length])

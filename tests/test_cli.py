@@ -153,16 +153,14 @@ class TestSweep:
         assert first[7] in ("bounded", "growing", "inconclusive")
 
     def test_json_round_trip(self, tmp_path, capsys):
-        from ceslab import GridSpec, NormOptions, lp, sweep
+        from ceslab import GridSpec, lp, sweep
 
         path = tmp_path / "out.json"
         assert main(SWEEP_FLAGS + ["--format=json", f"--output={path}"]) == 0
         parsed = json.loads(path.read_text())["records"]
         assert len(parsed) == 6
         # the serialized floats reproduce the in-process values exactly
-        direct = sweep(
-            lp(2), GridSpec(1.5, 2.5, 1.0, 1.0, 0.5), [8, 16], NormOptions(seed=7)
-        )
+        direct = sweep(lp(2), GridSpec(1.5, 2.5, 1.0, 1.0, 0.5), [8, 16], seed=7)
         for rec, row in zip(direct, parsed):
             assert row["lambda_re"] == rec.lam.real
             assert row["lambda_im"] == rec.lam.imag
@@ -279,13 +277,23 @@ class TestBadInput:
             ([*SWEEP_FLAGS, "--step=nan"], 1, "grid step must be finite"),
             (["bounds", "--kind=collimit_49", "--alpha=0.5", "--n=0"], 2, "got 0"),
             (["bounds", "--kind=rowsum_46", "--alpha=0.5", "--n=1"], 2, "got 1"),
+            (["bounds", "--kind=rowsum_46", "--alpha=nan", "--n=10"], 2, "got nan"),
+            (["bounds", "--kind=collimit_49", "--alpha=-inf", "--n=10"], 2, "got -inf"),
+            (["bounds", "--kind=diag_36", "--alpha=nan", "--n=10"], 2, "(nan+0j) is not finite"),
+            (["bounds", "--kind=alpha_43", "--alpha=nan", "--n=10"], 2, "(nan+0j) is not finite"),
+            (["bounds", "--kind=rho1_54", "--alpha=nan", "--n=10"], 2, "(nan+0j) is not finite"),
+            (["bounds", "--kind=remark41", "--lambda=3+0i", "--b=inf"], 2, "got inf"),
+            (["bounds", "--kind=remark41", "--lambda=1e-320", "--b=2"], 2, "not finite"),
+            ([*SWEEP_FLAGS, "--re-min=1", "--re-max=2", "--step=1e-300"], 1, "1e+300 grid points"),
         ],
     )
     def test_exits_with_one_error_line(self, argv, code, message, capsys):
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        for text in ("Traceback", "NaN", "Infinity"):
+            assert text not in captured.err
         assert captured.out == ""
 
 

@@ -9,7 +9,6 @@ from ceslab import (
     comparison_operator,
     diagonal_part,
     gamma,
-    in_sigma_zero,
     residual,
     resolvent_operator,
 )
@@ -39,13 +38,6 @@ class TestGamma:
 
     def test_left_half_plane_distance_to_origin(self):
         assert gamma(-3 + 4j) == 5.0
-
-    def test_membership_at_float_resolution(self):
-        assert in_sigma_zero(1 / 7)
-        assert in_sigma_zero(0.0)
-        assert not in_sigma_zero(1 / 7 + 1e-13)
-        assert not in_sigma_zero(1j)
-        assert not in_sigma_zero(-0.5)
 
     def test_alpha_undefined_at_zero(self):
         from ceslab.resolvent import alpha_of

@@ -1,5 +1,4 @@
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from ceslab import (
     GridSpec,
     InvalidConfigError,
     LowerTriangularMatrix,
-    NormOptions,
     SweepRecord,
     UnsupportedParameterError,
     apply,
@@ -23,18 +21,16 @@ from ceslab import (
     linf,
     lp,
     norm,
-    operator_norm_estimate,
     operator_norm_report,
-    regular_norm_estimate,
     resolvent_operator,
     spectrum_disk,
     sweep,
 )
 from ceslab.spectra import (
     ASCENT_RTOL,
-    _ascent_reports,
     _ascent_starts,
     _lockstep_ascent,
+    _norm_reports,
 )
 from conftest import random_triangular, sample_lambda
 
@@ -86,16 +82,16 @@ class TestInSpectrum:
 
 class TestOperatorNorms:
     def test_max_norm_of_averaging_matrix_is_one(self):
-        value = operator_norm_estimate(linf(), cesaro_matrix(50))
+        value = operator_norm_report(linf(), cesaro_matrix(50)).value
         assert value == pytest.approx(1.0, rel=1e-14)
 
     def test_l2_matches_svd_oracle_two_by_two(self):
         C = cesaro_matrix(2)
         oracle = svdvals(C.dense())[0]
-        assert operator_norm_estimate(lp(2), C) == pytest.approx(oracle, rel=1e-14)
+        assert operator_norm_report(lp(2), C).value == pytest.approx(oracle, rel=1e-14)
 
     def test_l2_sections_increase_below_two(self):
-        values = [operator_norm_estimate(lp(2), cesaro_matrix(n)) for n in (16, 64, 256)]
+        values = [operator_norm_report(lp(2), cesaro_matrix(n)).value for n in (16, 64, 256)]
         assert values[0] < values[1] < values[2] < 2.0
 
     def test_lp_ascent_brackets(self, rng):
@@ -112,22 +108,20 @@ class TestOperatorNorms:
 
     def test_lp_ascent_exactish_on_small_cesaro(self):
         # for p = 2 the ascent can be cross-checked against the SVD oracle
-        from ceslab.spectra import _ascent_reports
-
         C = cesaro_matrix(6)
         oracle = svdvals(C.dense())[0]
-        est = _ascent_reports(lp(2), [C], [NormOptions()], [()])[0].value
+        est = _lockstep_ascent(lp(2), [C], [_ascent_starts(lp(2), 6, 0, ())])[0][0]
         assert est == pytest.approx(oracle, rel=1e-8)
 
     def test_ces0_norm_of_averaging_matrix(self):
-        value = operator_norm_estimate(ces0(), cesaro_matrix(40))
+        value = operator_norm_report(ces0(), cesaro_matrix(40)).value
         assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_lanczos_branch_matches_svd(self, rng, monkeypatch):
         import ceslab.spectra
 
         A = random_triangular(rng, 48, blocks=2)
-        exact = operator_norm_estimate(lp(2), A)
+        exact = operator_norm_report(lp(2), A).value
         monkeypatch.setattr(ceslab.spectra, "SVD_CUTOFF", 16)
         report = operator_norm_report(lp(2), A)
         assert report.method == "lanczos"
@@ -158,7 +152,7 @@ class TestOperatorNorms:
         assert report.value <= svdvals(A.dense())[0] * (1 + 1e-12)
 
     def test_ces_norm_bounded_by_hardy_constant(self):
-        value = operator_norm_estimate(ces(2), cesaro_matrix(64))
+        value = operator_norm_report(ces(2), cesaro_matrix(64)).value
         assert value <= 2.0 + 1e-9
 
     def test_hardy_inequality_every_truncation(self, rng):
@@ -179,27 +173,29 @@ class TestRegularNorm:
         A = random_triangular(rng, 20, real=True, blocks=2)
         A = A.modulus()  # force positivity
         for space in (lp(2), lp(3), linf(), ces(2), ces0()):
-            assert regular_norm_estimate(space, A) == operator_norm_estimate(space, A)
+            regular = operator_norm_report(space, A.modulus()).value
+            assert regular == operator_norm_report(space, A).value
 
     def test_diagonal_signs_wash_out(self):
         D = diag_operator([-1.0, 1j])
         for space in (lp(2), linf()):
-            assert regular_norm_estimate(space, D) == pytest.approx(1.0, rel=1e-14)
-            assert operator_norm_estimate(space, D) == pytest.approx(1.0, rel=1e-14)
+            regular = operator_norm_report(space, D.modulus()).value
+            assert regular == pytest.approx(1.0, rel=1e-14)
+            assert operator_norm_report(space, D).value == pytest.approx(1.0, rel=1e-14)
 
     def test_resolvent_regular_at_least_operator(self):
         R = resolvent_operator(-1.0, 64)
-        op = operator_norm_estimate(lp(2), R)
-        reg = regular_norm_estimate(lp(2), R)
+        op = operator_norm_report(lp(2), R).value
+        reg = operator_norm_report(lp(2), R.modulus()).value
         assert op <= reg + 1e-9
 
 
-def sequential_ascent(space, A, starts, opts):
+def sequential_ascent(space, A, starts, max_iter):
     """Reference: one start vector at a time, each a plain power-type ascent.
 
     Returns (value, converged) as the block code should find them: the
     best ratio over every start and iteration, and whether every start
-    stopped within ``opts.max_iter`` products.
+    stopped within ``max_iter`` products.
     """
     dense = A.dense().astype(complex)
     n = A.n
@@ -222,7 +218,7 @@ def sequential_ascent(space, A, starts, opts):
     for x0 in starts:
         x = x0 / space_norm(x0)
         prev = -np.inf
-        for _ in range(opts.max_iter):
+        for _ in range(max_iter):
             y = dense @ x
             est = space_norm(y)
             best = max(best, est)
@@ -258,19 +254,21 @@ class TestLockstep:
 
     @pytest.mark.parametrize("n", [24, 212])
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
-    def test_block_matches_single_runs(self, rng, space, n):
+    def test_block_matches_single_runs(self, rng, space, n, monkeypatch):
+        import ceslab.spectra
+
+        monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", self.MAX_ITER[space.kind])
         operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
         operators += [resolvent_operator(0.45 + 0.5j, n), resolvent_operator(2 + 1j, n)]
-        max_iter = self.MAX_ITER[space.kind]
-        opts = [NormOptions(seed=s, max_iter=max_iter) for s in range(len(operators))]
+        seeds = list(range(len(operators)))
         # an escort start for every other operator, so the blocks differ in k
         extra = [
             (np.abs(rng.standard_normal(n)),) if i % 2 == 0 else ()
             for i in range(len(operators))
         ]
-        block = _ascent_reports(space, operators, opts, extra)
+        block = _norm_reports(space, operators, seeds, extra)
         single = [
-            operator_norm_report(space, A, o, e) for A, o, e in zip(operators, opts, extra)
+            operator_norm_report(space, A, s, e) for A, s, e in zip(operators, seeds, extra)
         ]
         assert {r.converged for r in single} == {True, False}
         for b, s in zip(block, single):
@@ -279,7 +277,11 @@ class TestLockstep:
             np.testing.assert_allclose(b.best_vector, s.best_vector, rtol=4 * EPS, atol=0)
 
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
-    def test_block_matches_sequential_reference(self, rng, space):
+    def test_block_matches_sequential_reference(self, rng, space, monkeypatch):
+        import ceslab.spectra
+
+        max_iter = self.MAX_ITER[space.kind]
+        monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", max_iter)
         operators = [random_triangular(rng, 20, blocks=2) for _ in range(3)]
         operators += [resolvent_operator(0.45 + 0.5j, 20).modulus()]
         # norms below 1, where the stopping rule is absolute
@@ -287,12 +289,11 @@ class TestLockstep:
             LowerTriangularMatrix(A.d / 1e4, A.u / 1e4, A.v, A.starts, A.ratios)
             for A in operators[:2]
         ]
-        opts = NormOptions(max_iter=self.MAX_ITER[space.kind])
-        starts = [_ascent_starts(space, 20, opts, ()) for _ in operators]
-        block = _lockstep_ascent(space, operators, starts, opts)
+        starts = [_ascent_starts(space, 20, 0, ()) for _ in operators]
+        block = _lockstep_ascent(space, operators, starts)
         assert {converged for *_, converged in block} == {True, False}
         for A, s, (value, vector, converged) in zip(operators, starts, block):
-            ref_value, ref_converged = sequential_ascent(space, A, s, opts)
+            ref_value, ref_converged = sequential_ascent(space, A, s, max_iter)
             assert value == pytest.approx(ref_value, rel=1e-12)
             assert converged == ref_converged
             ratio = norm(space, A.matvec(vector)) / norm(space, vector)
@@ -300,9 +301,8 @@ class TestLockstep:
 
     def test_values_are_ratios_at_their_vectors(self, rng):
         operators = [random_triangular(rng, 16, blocks=2) for _ in range(4)]
-        opts = [NormOptions(seed=s) for s in range(4)]
         for space in (lp(3), ces(2), ces0()):
-            reports = _ascent_reports(space, operators, opts, [()] * 4)
+            reports = _norm_reports(space, operators, range(4), [()] * 4)
             for A, r in zip(operators, reports):
                 ratio = norm(space, A.matvec(r.best_vector)) / norm(space, r.best_vector)
                 assert r.value == pytest.approx(ratio, rel=1e-12)
@@ -367,19 +367,21 @@ class TestSweep:
 
     def test_deterministic_given_seed(self):
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
-        first = sweep(ces(2), grid, [8, 16], NormOptions(seed=42))
-        second = sweep(ces(2), grid, [8, 16], NormOptions(seed=42))
+        first = sweep(ces(2), grid, [8, 16], seed=42)
+        second = sweep(ces(2), grid, [8, 16], seed=42)
         assert first == second
 
     # chunks over 9 lambdas whose (k, L, n) iterate block fits 8192 bytes:
-    # k = 6 starts in l^p and ces(p), 13 (n = 8) or 14 (n = 16) in ces(0)
+    # k = 6 starts in l^p, l-infinity and ces(p), 13 (n = 8) or 14 (n = 16)
+    # in ces(0)
     CHUNKS = {
         "lp": [(8, 9), (16, 5), (16, 4)],
+        "linf": [(8, 9), (16, 5), (16, 4)],
         "ces": [(8, 9), (16, 5), (16, 4)],
         "ces0": [(8, 4), (8, 4), (8, 1)] + [(16, 2)] * 4 + [(16, 1)],
     }
 
-    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    @pytest.mark.parametrize("space", [lp(2), lp(3), linf(), ces(2), ces0()], ids=str)
     def test_chunking_does_not_change_results(self, space, monkeypatch):
         import ceslab.spectra
 
@@ -393,18 +395,17 @@ class TestSweep:
 
         monkeypatch.setattr(ceslab.spectra, "_sweep_task", counting_task)
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
-        opts = NormOptions(seed=9)
-        records = sweep(space, grid, [8, 16], opts)
+        records = sweep(space, grid, [8, 16], seed=9)
         assert chunks == self.CHUNKS[space.kind]
 
         expected = []
         for i, lam in enumerate(grid.points()):
             for j, n in enumerate([8, 16]):
-                task_opts = replace(opts, seed=opts.seed + 1000003 * i + j)
+                seed = 9 + 1000003 * i + j
                 R = resolvent_operator(lam, n)
-                op = operator_norm_report(space, R, task_opts)
-                escort = (np.abs(op.best_vector),)
-                reg = operator_norm_report(space, R.modulus(), task_opts, escort)
+                op = operator_norm_report(space, R, seed)
+                escort = () if op.best_vector is None else (np.abs(op.best_vector),)
+                reg = operator_norm_report(space, R.modulus(), seed, escort)
                 expected.append((lam, n, op.value, reg.value))
         assert [(r.lam, r.n) for r in records] == [e[:2] for e in expected]
         for rec, (_, _, op, reg) in zip(records, expected):

@@ -27,6 +27,8 @@ commands = [
     ["bounds", "--kind=gamma_56", "--alpha=0.5", "--t=1.0", "--n=64"],
     ["sweep", "--space=lp:2", "--re-min=1.5", "--re-max=2.0", "--im-min=1.0",
      "--im-max=1.0", "--step=0.5", "--sizes=8,16", "--seed=1"],
+    ["sweep", "--space=linf", "--re-min=1.5", "--re-max=2.0", "--im-min=1.0",
+     "--im-max=1.0", "--step=0.5", "--sizes=8,16", "--seed=1"],
 ]
 codes = []
 for argv in commands:
@@ -49,5 +51,9 @@ def test_traced_commands_record_layer_spans():
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
-    assert {"cli.main", "triangular.dense"} <= set(result["names"])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    # the tracer names each spectra.operator_norm_report span by the method
+    # of the report it returns
+    norm_spans = {f"spectra.norm.{m}" for m in ("rowsum", "svd", "lanczos", "ascent")}
+    spans = {"cli.main", "triangular.dense", "spectra.sweep_task", *norm_spans}
+    assert spans <= set(result["names"])
