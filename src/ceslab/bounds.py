@@ -32,7 +32,6 @@ __all__ = [
     "BOUND_KINDS",
     "BOUND_TOLERANCE",
     "ProductProfile",
-    "BoundReport",
     "product_profile",
     "profile_report",
     "beta_estimate",
@@ -69,37 +68,6 @@ class ProductProfile:
     @property
     def q_hat(self):
         return float(self.scaled.max())
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one entrywise scan.
-
-    ``witness`` is the 1-based (n, m) position of the tightest entry and
-    ``worst_margin`` the smallest value of bound - |entry| encountered;
-    the bound holds when that margin is above -BOUND_TOLERANCE.
-    """
-
-    kind: str
-    lam: complex | None
-    n_max: int
-    holds: bool
-    worst_margin: float
-    witness: tuple[int, int]
-
-    def as_dict(self):
-        d = {
-            "kind": self.kind,
-            "n_max": self.n_max,
-            "holds": self.holds,
-            "worst_margin": self.worst_margin,
-            "witness_n": self.witness[0],
-            "witness_m": self.witness[1],
-        }
-        if self.lam is not None:
-            d["lambda_re"] = self.lam.real
-            d["lambda_im"] = self.lam.imag
-        return d
 
 
 def product_profile(lam, N):
@@ -175,6 +143,26 @@ def beta_estimate(lam, N):
     return float(np.exp((log_b[1:] + best_a[:-1]).max()))
 
 
+def _report(kind, lam, n, margin, witness):
+    """The JSON-ready dict of one scan, with lambda's parts when there is one.
+
+    ``witness`` is the 1-based (n, m) position of the tightest entry and
+    ``margin`` the smallest bound - |entry|; the bound holds above -BOUND_TOLERANCE.
+    """
+    report = {
+        "kind": kind,
+        "n_max": n,
+        "holds": bool(margin >= -BOUND_TOLERANCE),
+        "worst_margin": margin,
+        "witness_n": witness[0],
+        "witness_m": witness[1],
+    }
+    if lam is not None:
+        report["lambda_re"] = lam.real
+        report["lambda_im"] = lam.imag
+    return report
+
+
 def _strict_lower_scan(lam, n, bound):
     """Worst margin of bound - |e_nm| over E's strict lower triangle.
 
@@ -182,8 +170,6 @@ def _strict_lower_scan(lam, n, bound):
     and returns the bounds as an array that broadcasts to (n, n).
     """
     abs_e = comparison_operator(lam, n).modulus().dense()
-    if n < 2:
-        raise UnsupportedParameterError("entry scans need n >= 2")
     idx = np.arange(n)
     margins = bound(idx[:, None], idx[None, :]) - abs_e
     margins[~np.tri(n, k=-1, dtype=bool)] = np.inf
@@ -192,23 +178,28 @@ def _strict_lower_scan(lam, n, bound):
 
 
 def check_entry_bounds(lam, n, kind):
-    """Scan one inequality over the full truncation of size n.
+    """Scan one inequality over the full truncation of size n, as a report dict.
 
     ``rho1_54`` requires Re(1/lambda) <= 0 and ``gamma_56`` requires
     0 < Re(1/lambda) < 1; outside those regions a WrongRegimeError names
-    the region instead of producing a vacuous report.
+    the region instead of producing a vacuous report.  The scans of E's
+    strict lower triangle need n >= 2.
     """
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
     lam = complex(lam)
-    _require_off_sigma_zero(lam)
+    g = _require_off_sigma_zero(lam)
     alpha = alpha_of(lam)
-
     if kind == "diag_36":
-        d = diagonal_part(lam, n)
-        g = _require_off_sigma_zero(lam)
-        margins = 1.0 / g - np.abs(d)
+        margins = 1.0 / g - np.abs(diagonal_part(lam, n))
         k = int(np.argmin(margins))
-        worst, witness = float(margins[k]), (k + 1, k + 1)
-    elif kind == "alpha_43":
+        return _report(kind, lam, n, float(margins[k]), (k + 1, k + 1))
+    if kind in ("rowsum_46", "collimit_49"):
+        return _comparison_report(kind, lam, alpha, n)
+
+    if n < 2:
+        raise UnsupportedParameterError(f"entry scans need n >= 2, got {n}")
+    if kind == "alpha_43":
         if alpha >= 1.0:
             raise WrongRegimeError(
                 f"alpha bound undefined at Re(1/lambda) = {alpha}",
@@ -216,40 +207,22 @@ def check_entry_bounds(lam, n, kind):
             )
         beta = beta_estimate(lam, 2 * n)
         bound = lambda r, c: beta * (r + 1.0) ** (alpha - 1.0) * (c + 1.0) ** (-alpha)
-        worst, witness = _strict_lower_scan(lam, n, bound)
     elif kind == "rho1_54":
         if alpha > 0.0:
             raise WrongRegimeError(
                 f"lambda has Re(1/lambda) = {alpha} > 0",
                 "rho1: lambda != 0 with Re(1/lambda) <= 0",
             )
-        worst, witness = _strict_lower_scan(lam, n, lambda r, c: 1.0 / (r + 1.0))
-    elif kind == "gamma_56":
+        bound = lambda r, c: 1.0 / (r + 1.0)
+    else:
         if not 0.0 < alpha < 1.0:
             raise WrongRegimeError(
                 f"lambda has Re(1/lambda) = {alpha}",
                 "a circle point: 0 < Re(1/lambda) < 1",
             )
         ref = comparison_operator(1.0 / alpha, n).modulus().dense()
-        worst, witness = _strict_lower_scan(lam, n, lambda r, c: ref)
-    elif kind in ("rowsum_46", "collimit_49"):
-        if alpha >= 1.0:
-            raise WrongRegimeError(
-                f"comparison matrix undefined at Re(1/lambda) = {alpha}",
-                "Re(1/lambda) < 1",
-            )
-        return _profile_bound_report(kind, lam, alpha, n)
-    else:
-        raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-
-    return BoundReport(
-        kind=kind,
-        lam=lam,
-        n_max=n,
-        holds=bool(worst >= -BOUND_TOLERANCE),
-        worst_margin=worst,
-        witness=witness,
-    )
+        bound = lambda r, c: ref
+    return _report(kind, lam, n, *_strict_lower_scan(lam, n, bound))
 
 
 def _row_sums(alpha, N):
@@ -257,35 +230,29 @@ def _row_sums(alpha, N):
     return np.cumsum(m**-alpha) * m ** (alpha - 1.0)
 
 
-def _profile_bound_report(kind, lam, alpha, n):
-    # Finite proxies for the boundedness/decay of the comparison matrix:
-    # row sums must have stabilized over the second half of the horizon,
-    # columns must have decayed by the expected factor 2^(alpha-1).
+def _comparison_report(kind, lam, alpha, n):
+    """Finite proxies for the comparison matrix r^(alpha-1) m^(-alpha), alpha < 1.
+
+    rowsum_46: the row sums must have stabilized over the second half of
+    the horizon; collimit_49: the columns must have decayed by the
+    expected factor 2^(alpha-1).
+    """
+    if alpha >= 1.0:
+        raise WrongRegimeError(
+            f"comparison matrix undefined at alpha = {alpha}", "alpha < 1"
+        )
     if n < 2:
         raise UnsupportedParameterError(f"the {kind} test needs n >= 2, got {n}")
     half = max(2, n // 2)
     sums = _row_sums(alpha, n)
     if kind == "rowsum_46":
-        sup_half = float(sums[:half].max())
-        sup_full = float(sums.max())
+        sup_half, sup_full = float(sums[:half].max()), float(sums.max())
         margin = 0.05 * sup_full - (sup_full - sup_half)
-        witness = (int(np.argmax(sums)) + 1, 1)
-    else:
-        m = np.arange(1, half + 1, dtype=np.float64)
-        row_half = half ** (alpha - 1.0) * m**-alpha
-        row_full = n ** (alpha - 1.0) * m**-alpha
-        margins = row_half - row_full
-        k = int(np.argmin(margins))
-        margin = float(margins[k])
-        witness = (n, k + 1)
-    return BoundReport(
-        kind=kind,
-        lam=lam,
-        n_max=n,
-        holds=bool(margin >= -BOUND_TOLERANCE),
-        worst_margin=margin,
-        witness=witness,
-    )
+        return _report(kind, lam, n, margin, (int(np.argmax(sums)) + 1, 1))
+    m = np.arange(1, half + 1, dtype=np.float64)
+    margins = half ** (alpha - 1.0) * m**-alpha - n ** (alpha - 1.0) * m**-alpha
+    k = int(np.argmin(margins))
+    return _report(kind, lam, n, float(margins[k]), (n, k + 1))
 
 
 def comparison_matrix_report(kind, alpha, n):
@@ -295,11 +262,7 @@ def comparison_matrix_report(kind, alpha, n):
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise UnsupportedParameterError(f"alpha must be finite, got {alpha}")
-    if alpha >= 1.0:
-        raise WrongRegimeError(
-            f"comparison matrix undefined at alpha = {alpha}", "alpha < 1"
-        )
-    return _profile_bound_report(kind, None, alpha, n)
+    return _comparison_report(kind, None, alpha, n)
 
 
 def remark41(lam, b):
@@ -345,7 +308,11 @@ def gamma_circle_point(alpha, t):
     Parametrizing by t keeps Re(1/lambda) = alpha exact up to rounding;
     the circle has center and radius 1/(2 alpha).
     """
-    alpha = float(alpha)
+    alpha, t = float(alpha), float(t)
     if not alpha > 0:
         raise UnsupportedParameterError(f"circle parameter must be > 0, got {alpha}")
+    if not (alpha < np.inf and np.isfinite(t)):
+        raise UnsupportedParameterError(
+            f"circle parameters must be finite, got alpha = {alpha}, t = {t}"
+        )
     return 1.0 / complex(alpha, t)

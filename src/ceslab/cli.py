@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedParameterError,
     WrongRegimeError,
 )
-from .resolvent import GAMMA_FLOOR, alpha_of, nearest_pole, residual
+from .resolvent import alpha_of, gamma, residual
 from .spaces import parse_space
 from .spectra import GridSpec, classify_growth, operator_norm_report, sweep
 from .triangular import cesaro_matrix
@@ -45,7 +45,18 @@ logger = logging.getLogger(__name__)
 # verify passes when the normwise backward error is at most this many n eps
 RESIDUAL_PASS_NEPS = 8
 
-CSV_HEADER = "lambda_re,lambda_im,n,gamma,op_norm_est,reg_norm_est,in_disk,verdict"
+# The fields of a sweep record: the CSV columns in order and the JSON keys.
+RECORD_FIELDS = tuple(
+    "lambda_re,lambda_im,n,gamma,op_norm_est,reg_norm_est,in_disk,verdict".split(",")
+)
+
+# Errors of a precondition or a regime exit 2; every other error exits 1.
+_PRECONDITION_ERRORS = (
+    LambdaInSigmaZeroError,
+    WrongRegimeError,
+    UnsupportedExponentError,
+    UnsupportedParameterError,
+)
 
 
 def parse_complex(text):
@@ -95,18 +106,11 @@ def _parse_sizes(text):
 
 def _cmd_verify(args):
     lam = parse_complex(args.lam)
-    point, dist = nearest_pole(lam)
-    if dist <= GAMMA_FLOOR:
-        print(
-            f"lambda within {format_float(dist)} of {point!r}, a pole of the resolvent",
-            file=sys.stderr,
-        )
-        return 2
-    r = residual(lam, args.n)
+    r = residual(lam, args.n)  # refuses a lambda at a pole
     threshold = RESIDUAL_PASS_NEPS * args.n * sys.float_info.epsilon
     print(f"lambda   = {format_float(lam.real)} + {format_float(lam.imag)}i")
     print(f"n        = {args.n}")
-    print(f"gamma    = {format_float(dist)}")
+    print(f"gamma    = {format_float(gamma(lam))}")
     print(f"alpha    = {format_float(alpha_of(lam))}")
     print(f"residual = {format_float(r)}")
     if r <= threshold:
@@ -133,7 +137,7 @@ def _cmd_bounds(args):
     elif kind in ("rowsum_46", "collimit_49") and args.lam is None:
         if args.alpha is None:
             raise InvalidConfigError(f"kind {kind} needs --lambda or --alpha")
-        report = comparison_matrix_report(kind, args.alpha, args.n).as_dict()
+        report = comparison_matrix_report(kind, args.alpha, args.n)
     else:
         if args.lam is not None:
             lam = parse_complex(args.lam)
@@ -146,7 +150,7 @@ def _cmd_bounds(args):
                 raise InvalidConfigError(f"kind {kind} needs --lambda when alpha = 0")
         else:
             raise InvalidConfigError(f"kind {kind} needs --lambda or --alpha")
-        report = check_entry_bounds(lam, args.n, kind).as_dict()
+        report = check_entry_bounds(lam, args.n, kind)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["holds"] else 1
 
@@ -206,56 +210,37 @@ def _sweep_settings(args):
     return settings
 
 
-def _records_with_verdicts(records):
+def _record_rows(records):
+    """Each record as a dict over RECORD_FIELDS, with its lambda's verdict."""
     by_lambda = {}
     for rec in records:
         by_lambda.setdefault(rec.lam, []).append(rec)
-    verdicts = {}
-    for lam, group in by_lambda.items():
-        if len(group) >= 2:
-            verdicts[lam] = classify_growth(group).verdict
-        else:
-            verdicts[lam] = "inconclusive"
-    return [(rec, verdicts[rec.lam]) for rec in records]
+    verdicts = {
+        lam: classify_growth(group).verdict if len(group) >= 2 else "inconclusive"
+        for lam, group in by_lambda.items()
+    }
+    rows = []
+    for rec in records:
+        values = (rec.lam.real, rec.lam.imag, rec.n, rec.gamma, rec.op_norm_est)
+        values += (rec.reg_norm_est, rec.in_disk, verdicts[rec.lam])
+        rows.append(dict(zip(RECORD_FIELDS, values)))
+    return rows
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def _render_csv(rows):
-    lines = [CSV_HEADER]
-    for rec, verdict in rows:
-        lines.append(
-            ",".join(
-                (
-                    format_float(rec.lam.real),
-                    format_float(rec.lam.imag),
-                    str(rec.n),
-                    format_float(rec.gamma),
-                    format_float(rec.op_norm_est),
-                    format_float(rec.reg_norm_est),
-                    "true" if rec.in_disk else "false",
-                    verdict,
-                )
-            )
-        )
+    lines = [",".join(RECORD_FIELDS)]
+    lines += [",".join(_csv_cell(value) for value in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _render_json(rows):
-    payload = {
-        "records": [
-            {
-                "lambda_re": rec.lam.real,
-                "lambda_im": rec.lam.imag,
-                "n": rec.n,
-                "gamma": rec.gamma,
-                "op_norm_est": rec.op_norm_est,
-                "reg_norm_est": rec.reg_norm_est,
-                "in_disk": rec.in_disk,
-                "verdict": verdict,
-            }
-            for rec, verdict in rows
-        ]
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({"records": rows}, indent=2) + "\n"
 
 
 def _cmd_sweep(args):
@@ -273,7 +258,7 @@ def _cmd_sweep(args):
         step=settings["step"],
     )
     records = sweep(space, grid, sizes, seed=int(settings["seed"]))
-    rows = _records_with_verdicts(records)
+    rows = _record_rows(records)
     text = _render_csv(rows) if fmt == "csv" else _render_json(rows)
     output = settings["output"]
     if output == "-":
@@ -378,21 +363,9 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (
-        LambdaInSigmaZeroError,
-        WrongRegimeError,
-        UnsupportedExponentError,
-        UnsupportedParameterError,
-    ) as exc:
+    except (CeslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CeslabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        return 2 if isinstance(exc, _PRECONDITION_ERRORS) else 1
 
 if __name__ == "__main__":
     sys.exit(main())

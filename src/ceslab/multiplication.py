@@ -52,7 +52,7 @@ class DiagNormReport:
     matches_max_modulus: bool | None
 
 
-def diag_norm_equality_check(space, phi, seed=0, tol=EQUALITY_TOLERANCE):
+def diag_norm_equality_check(space, phi, seed=0):
     """Check op-norm/regular-norm equality of diag(phi) in ``space``.
 
     For the lp/linf/c0 spaces both norms must additionally equal
@@ -68,8 +68,8 @@ def diag_norm_equality_check(space, phi, seed=0, tol=EQUALITY_TOLERANCE):
     matches = None
     if space.kind in ("lp", "linf", "c0"):
         matches = bool(
-            abs(op - max_mod) <= tol * max(1.0, max_mod)
-            and abs(reg - max_mod) <= tol * max(1.0, max_mod)
+            abs(op - max_mod) <= EQUALITY_TOLERANCE * max(1.0, max_mod)
+            and abs(reg - max_mod) <= EQUALITY_TOLERANCE * max(1.0, max_mod)
         )
     return DiagNormReport(
         space_label=space.label(),
@@ -77,6 +77,6 @@ def diag_norm_equality_check(space, phi, seed=0, tol=EQUALITY_TOLERANCE):
         reg_norm=reg,
         difference=difference,
         max_modulus=max_mod,
-        equality_holds=bool(difference <= tol * max(1.0, op, reg)),
+        equality_holds=bool(difference <= EQUALITY_TOLERANCE * max(1.0, op, reg)),
         matches_max_modulus=matches,
     )

@@ -105,11 +105,11 @@ def alpha_of(lam):
     return (1.0 / lam).real
 
 
-def _require_off_sigma_zero(lam, floor=GAMMA_FLOOR):
+def _require_off_sigma_zero(lam):
     if not cmath.isfinite(lam):
         raise UnsupportedParameterError(f"lambda={lam} is not finite")
     point, dist = nearest_pole(lam)
-    if dist <= floor:
+    if dist <= GAMMA_FLOOR:
         raise LambdaInSigmaZeroError(lam, dist, point)
     return dist
 

@@ -63,6 +63,10 @@ SWEEP_GAMMA_SKIP = 1e-3
 
 DISK_TOLERANCE = 1e-12
 
+# The regular-norm ratio thresholds of classify_growth.
+GROWING_RATIO = 1.5
+BOUNDED_RATIO = 1.1
+
 # A lambda grid may hold at most this many points (the README grid has 441).
 GRID_POINTS_MAX = 10**6
 
@@ -93,8 +97,8 @@ class SpectralDisk:
     center: float
     radius: float
 
-    def contains(self, lam, tol=DISK_TOLERANCE):
-        return abs(complex(lam) - self.center) <= self.radius + tol
+    def contains(self, lam):
+        return abs(complex(lam) - self.center) <= self.radius + DISK_TOLERANCE
 
 
 def spectrum_disk(space):
@@ -112,8 +116,8 @@ def spectrum_disk(space):
     return SpectralDisk(center=half, radius=half)
 
 
-def in_spectrum(space, lam, tol=DISK_TOLERANCE):
-    return spectrum_disk(space).contains(lam, tol=tol)
+def in_spectrum(space, lam):
+    return spectrum_disk(space).contains(lam)
 
 
 @dataclass
@@ -362,6 +366,9 @@ def _norm_reports(space, operators, seeds, extra_starts):
     kind = space.kind
     if kind not in ("lp", "linf", "c0", "ces", "ces0"):
         raise ValueError(f"unknown space kind {space.kind!r}")
+    for seed in seeds:
+        if seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     uppers = [None] * len(operators)
     if kind in ("lp", "linf", "c0"):
         stacked = stack(operators)
@@ -515,6 +522,8 @@ def sweep(space, grid, sizes, seed=0):
     run in grid order on the calling thread, and the records come back in
     row-major grid order, sizes ascending within each lambda.
     """
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidConfigError(f"sizes must be nonempty ascending, got {sizes}")
@@ -551,12 +560,12 @@ def sweep(space, grid, sizes, seed=0):
     return [records[i, j] for i in range(len(retained)) for j in range(len(sizes))]
 
 
-def classify_growth(records, growing_threshold=1.5, bounded_threshold=1.1):
+def classify_growth(records):
     """Classify one lambda's records by successive regular-norm ratios.
 
-    Growing requires the final ratio to reach ``growing_threshold``;
-    bounded requires every ratio at or below ``bounded_threshold``;
-    anything else is inconclusive.
+    Growing requires the final ratio to reach GROWING_RATIO; bounded
+    requires every ratio at or below BOUNDED_RATIO; anything else is
+    inconclusive.
     """
     records = list(records)
     if len(records) < 2:
@@ -571,9 +580,9 @@ def classify_growth(records, growing_threshold=1.5, bounded_threshold=1.1):
     ratios = tuple(
         float(b / a) if a > 0 else float("inf") for a, b in zip(values, values[1:])
     )
-    if ratios[-1] >= growing_threshold:
+    if ratios[-1] >= GROWING_RATIO:
         verdict = "growing"
-    elif all(r <= bounded_threshold for r in ratios):
+    elif all(r <= BOUNDED_RATIO for r in ratios):
         verdict = "bounded"
     else:
         verdict = "inconclusive"

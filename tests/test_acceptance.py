@@ -83,7 +83,7 @@ def test_criterion_3_bound_suites():
 
     started = time.perf_counter()
     ok_diag = all(
-        check_entry_bounds(sample_lambda(rng), 10**4, "diag_36").holds
+        check_entry_bounds(sample_lambda(rng), 10**4, "diag_36")["holds"]
         for _ in range(20)
     )
     t_diag = time.perf_counter() - started
@@ -94,7 +94,7 @@ def test_criterion_3_bound_suites():
             sample_lambda(rng, predicate=lambda z: (1 / z).real <= 0),
             2000,
             "rho1_54",
-        ).holds
+        )["holds"]
         for _ in range(20)
     )
     t_rho1 = time.perf_counter() - started
@@ -106,7 +106,7 @@ def test_criterion_3_bound_suites():
         ok_gamma &= bool(np.all(E.imag == 0) and np.all(E.real >= 0))
         for t in (0.2, 0.5, 1.0, 2.0, 5.0):
             lam = gamma_circle_point(alpha, t)
-            ok_gamma &= check_entry_bounds(lam, 1000, "gamma_56").holds
+            ok_gamma &= check_entry_bounds(lam, 1000, "gamma_56")["holds"]
     t_gamma = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceslab import (
+    BOUND_KINDS,
     UnsupportedParameterError,
     WrongRegimeError,
     beta_estimate,
@@ -123,9 +124,9 @@ class TestCheckEntryBounds:
     def test_rho1_hand_margin(self):
         # |e_21| = 1/6 <= 1/2 with margin exactly 1/3
         report = check_entry_bounds(-1.0, 2, "rho1_54")
-        assert report.holds
-        assert report.worst_margin == pytest.approx(1 / 3, rel=1e-15)
-        assert report.witness == (2, 1)
+        assert report["holds"]
+        assert report["worst_margin"] == pytest.approx(1 / 3, rel=1e-15)
+        assert (report["witness_n"], report["witness_m"]) == (2, 1)
 
     def test_rho1_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
@@ -134,12 +135,12 @@ class TestCheckEntryBounds:
     def test_rho1_sample(self, rng):
         for _ in range(5):
             lam = sample_lambda(rng, predicate=lambda z: (1 / z).real <= 0)
-            assert check_entry_bounds(lam, 300, "rho1_54").holds
+            assert check_entry_bounds(lam, 300, "rho1_54")["holds"]
 
     def test_gamma56_on_circle(self):
         lam = gamma_circle_point(0.5, 1.0)  # the spec's 1/(0.5 + i)
         report = check_entry_bounds(lam, 500, "gamma_56")
-        assert report.holds
+        assert report["holds"]
         E = comparison_operator(2.0, 500).dense()
         assert np.all(E.imag == 0) and np.all(E.real >= 0)
 
@@ -149,18 +150,33 @@ class TestCheckEntryBounds:
 
     def test_diag_bound_near_pole(self):
         report = check_entry_bounds(0.4 + 0.0001j, 100, "diag_36")
-        assert report.holds
-        assert report.worst_margin >= -1e-12
+        assert report["holds"]
+        assert report["worst_margin"] >= -1e-12
 
     def test_alpha43_self_consistent(self, rng):
         for _ in range(3):
             lam = sample_lambda(rng, predicate=lambda z: (1 / z).real < 1)
             report = check_entry_bounds(lam, 200, "alpha_43")
-            assert report.holds
+            assert report["holds"]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             check_entry_bounds(-1.0, 10, "eq_unknown")
+
+    @pytest.mark.parametrize("kind, lam", [("alpha_43", 2.0), ("rho1_54", -1.0), ("gamma_56", 2.0)])
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_scans_refuse_a_size_below_two(self, kind, lam, n):
+        with pytest.raises(UnsupportedParameterError, match=f"got {n}$"):
+            check_entry_bounds(lam, n, kind)
+
+    def test_every_kind_reports_one_dict_format(self):
+        keys = {"kind", "n_max", "holds", "worst_margin", "witness_n", "witness_m"}
+        for kind in BOUND_KINDS:
+            lam = -1.0 if kind == "rho1_54" else 2.0
+            report = check_entry_bounds(lam, 20, kind)
+            assert set(report) == keys | {"lambda_re", "lambda_im"}
+            assert (report["kind"], report["lambda_re"], report["lambda_im"]) == (kind, lam, 0.0)
+        assert set(comparison_matrix_report("rowsum_46", 0.5, 20)) == keys
 
 
 class TestRowSupAndColumnLimits:
@@ -171,7 +187,7 @@ class TestRowSupAndColumnLimits:
         assert _row_sums(0.0, 100).max() == 1.0
         # rows 50 and 100 are constant, 1/50 and 1/100: every column decays alike
         report = comparison_matrix_report("collimit_49", 0.0, 100)
-        assert report.worst_margin == pytest.approx(1 / 50 - 1 / 100, rel=1e-15)
+        assert report["worst_margin"] == pytest.approx(1 / 50 - 1 / 100, rel=1e-15)
 
     def test_alpha_minus_one_closed_form(self):
         # row sums are (r + 1)/(2r), maximal at r = 1
@@ -186,8 +202,8 @@ class TestRowSupAndColumnLimits:
         report = comparison_matrix_report("collimit_49", 0.5, 10**4)
         half = 5000.0
         expected = (half**-0.5 - (10**4) ** -0.5) * half**-0.5
-        assert report.worst_margin == pytest.approx(expected, rel=1e-12)
-        assert report.witness == (10**4, 5000)
+        assert report["worst_margin"] == pytest.approx(expected, rel=1e-12)
+        assert (report["witness_n"], report["witness_m"]) == (10**4, 5000)
 
     def test_matches_materialized_matrix(self):
         alpha, N = 0.3, 40
@@ -196,7 +212,7 @@ class TestRowSupAndColumnLimits:
         np.testing.assert_allclose(_row_sums(alpha, N), G.sum(axis=1), rtol=1e-13)
         report = comparison_matrix_report("collimit_49", alpha, N)
         margins = G[N // 2 - 1, : N // 2] - G[N - 1, : N // 2]
-        assert report.worst_margin == pytest.approx(margins.min(), rel=1e-13)
+        assert report["worst_margin"] == pytest.approx(margins.min(), rel=1e-13)
 
     def test_rejects_alpha_at_least_one(self):
         for kind in ("rowsum_46", "collimit_49"):
@@ -209,18 +225,18 @@ class TestRowSupAndColumnLimits:
 class TestComparisonReports:
     def test_rowsum_stable(self):
         report = comparison_matrix_report("rowsum_46", 0.5, 2000)
-        assert report.holds
+        assert report["holds"]
 
     def test_rowsum_driven_by_lambda(self):
         # same scan reachable through a lambda with Re(1/lambda) = 1/2
         report = check_entry_bounds(2.0, 2000, "rowsum_46")
-        assert report.holds
-        assert check_entry_bounds(2.0, 2000, "collimit_49").holds
+        assert report["holds"]
+        assert check_entry_bounds(2.0, 2000, "collimit_49")["holds"]
 
     def test_column_decay(self):
         report = comparison_matrix_report("collimit_49", 0.5, 2000)
-        assert report.holds
-        assert report.worst_margin > 0
+        assert report["holds"]
+        assert report["worst_margin"] > 0
 
     def test_regime_guard(self):
         with pytest.raises(WrongRegimeError):
@@ -279,3 +295,8 @@ class TestGammaCirclePoint:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(UnsupportedParameterError):
             gamma_circle_point(0.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, t", [(np.inf, 1.0), (0.5, np.inf), (0.5, -np.inf), (0.5, np.nan)])
+    def test_rejects_non_finite_parameters(self, alpha, t):
+        with pytest.raises(UnsupportedParameterError, match=f"alpha = {alpha}, t = {t}"):
+            gamma_circle_point(alpha, t)

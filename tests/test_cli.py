@@ -110,6 +110,33 @@ class TestBounds:
         report = json.loads(capsys.readouterr().out)
         assert report["p_hat"] > 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind=diag_36", "--lambda=0.4+0.3i"],
+            ["--kind=alpha_43", "--lambda=2+1i"],
+            ["--kind=rho1_54", "--lambda=-1+0.5i"],
+            ["--kind=gamma_56", "--alpha=0.5", "--t=1"],
+            ["--kind=rowsum_46", "--alpha=0.5"],
+            ["--kind=collimit_49", "--lambda=2"],
+            ["--kind=profile_38", "--lambda=2+0i"],
+            ["--kind=remark41", "--lambda=3+0i", "--b=2"],
+        ],
+    )
+    def test_every_kind_prints_one_strict_json_report(self, argv, capsys):
+        # every kind, lambda- or alpha-driven, prints one finite JSON object
+        assert main(["bounds", *argv, "--n=200"]) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"non-finite {constant} in the report")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["kind"] == argv[0].removeprefix("--kind=")
+        assert report["holds"] is True
+        assert isinstance(report["worst_margin"], float)
+        if report["kind"] != "remark41":  # the one kind without a size
+            assert report["n_max"] == 200
+
     def test_profile_out_of_double_range_is_refused(self, capsys):
         # alpha = 500: n^alpha pi_n overflows; it used to print Infinity and pass
         argv = ["bounds", "--kind=profile_38", "--lambda=0.002+1e-6i", "--n=1000"]
@@ -167,6 +194,24 @@ class TestSweep:
             assert row["gamma"] == rec.gamma
             assert row["op_norm_est"] == rec.op_norm_est
             assert row["reg_norm_est"] == rec.reg_norm_est
+
+    def test_csv_and_json_carry_equal_records(self, capsys):
+        assert main(SWEEP_FLAGS + ["--space=ces:2", "--format=csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert main(SWEEP_FLAGS + ["--space=ces:2", "--format=json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        header = lines[0].split(",")
+        assert len(records) == len(lines) - 1 == 6
+        for line, record in zip(lines[1:], records):
+            assert list(record) == header
+            for name, text in zip(header, line.split(",")):
+                value = record[name]
+                if isinstance(value, bool):
+                    assert text == ("true" if value else "false")
+                elif isinstance(value, float):
+                    assert float(text) == value
+                else:
+                    assert text == str(value)
 
     def test_stdout_default(self, capsys):
         assert main(SWEEP_FLAGS) == 0
@@ -285,6 +330,19 @@ class TestBadInput:
             (["bounds", "--kind=remark41", "--lambda=3+0i", "--b=inf"], 2, "got inf"),
             (["bounds", "--kind=remark41", "--lambda=1e-320", "--b=2"], 2, "not finite"),
             ([*SWEEP_FLAGS, "--re-min=1", "--re-max=2", "--step=1e-300"], 1, "1e+300 grid points"),
+            (["norms", "--sizes=16", "--spaces=lp:3", "--seed=-1"], 1, "seed must be >= 0, got -1"),
+            (["norms", "--sizes=16", "--spaces=linf", "--seed=-1"], 1, "seed must be >= 0, got -1"),
+            ([*SWEEP_FLAGS, "--sizes=128,256", "--seed=-3"], 1, "seed must be >= 0, got -3"),
+            ([*SWEEP_FLAGS, "--space=linf", "--seed=-3"], 1, "seed must be >= 0, got -3"),
+            (["bounds", "--kind=gamma_56", "--alpha=0.5", "--t=inf", "--n=10"], 2, "t = inf"),
+            (["bounds", "--kind=gamma_56", "--alpha=inf", "--n=10"], 2, "alpha = inf"),
+            (["bounds", "--kind=gamma_56", "--alpha=0.5", "--t=nan", "--n=10"], 2, "t = nan"),
+            (["bounds", "--kind=rho1_54", "--lambda=-1", "--n=0"], 2, "need n >= 2, got 0"),
+            (["bounds", "--kind=rho1_54", "--lambda=-1", "--n=1"], 2, "need n >= 2, got 1"),
+            (["bounds", "--kind=alpha_43", "--lambda=2", "--n=-3"], 2, "need n >= 2, got -3"),
+            (["bounds", "--kind=gamma_56", "--alpha=0.5", "--n=1"], 2, "need n >= 2, got 1"),
+            (["bounds", "--kind=collimit_49", "--lambda=0.6+0.1i", "--n=10"], 2, "at alpha = 1.62"),
+            (["verify", "--lambda=0.5", "--n=16"], 2, "within 0.000e+00 of 0.5, a pole"),
         ],
     )
     def test_exits_with_one_error_line(self, argv, code, message, capsys):

@@ -422,6 +422,13 @@ class TestSweep:
         with pytest.raises(InvalidConfigError):
             sweep(lp(2), [], [16])
 
+    @pytest.mark.parametrize("space", [lp(2), linf()])
+    def test_rejects_a_negative_seed(self, space):
+        with pytest.raises(InvalidConfigError, match="got -3"):
+            sweep(space, [2 + 1j], [8, 16], seed=-3)
+        with pytest.raises(InvalidConfigError, match="got -1"):
+            operator_norm_report(space, cesaro_matrix(4), seed=-1)
+
 
 class TestClassifyGrowth:
     def _records(self, values):
