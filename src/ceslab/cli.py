@@ -7,8 +7,9 @@ bounds   entrywise bound scans / product profiles / the disk equivalence
 sweep    lambda-grid sweep writing CSV or JSON records
 norms    norm table of the averaging matrix across spaces and sizes
 
-Exit codes: 0 success (bound holds / residual small), 1 operational error,
-2 precondition or regime violation.
+Exit codes: 0 success (bound holds / residual small), 1 operational error
+(running out of memory included), 2 precondition or regime violation (a
+size below a command's minimum included).
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .bounds import (
 from .errors import (
     CeslabError,
     InvalidConfigError,
+    InvalidDimensionError,
     LambdaInSigmaZeroError,
     UnsupportedExponentError,
     UnsupportedParameterError,
@@ -52,6 +54,7 @@ RECORD_FIELDS = tuple(
 
 # Errors of a precondition or a regime exit 2; every other error exits 1.
 _PRECONDITION_ERRORS = (
+    InvalidDimensionError,
     LambdaInSigmaZeroError,
     WrongRegimeError,
     UnsupportedExponentError,
@@ -363,8 +366,8 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (CeslabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CeslabError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, _PRECONDITION_ERRORS) else 1
 
 if __name__ == "__main__":

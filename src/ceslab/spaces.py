@@ -49,16 +49,31 @@ def _check_exponent(p):
 
 @dataclass(frozen=True)
 class Space:
-    """Tag naming which norm is in force.
+    """Tag naming which norm is in force; any other tag is refused when built.
 
-    ``kind`` is one of "lp", "linf", "c0", "ces", "ces0"; ``p`` is set for
-    the two parametrized families and None otherwise.  Build instances via
-    the factory functions :func:`lp`, :func:`linf`, :func:`c0`, :func:`ces`,
-    :func:`ces0`.
+    ``kind`` is one of "lp", "linf", "c0", "ces", "ces0"; ``p`` is a finite
+    p > 1 for the two parametrized families and None otherwise.  The factory
+    functions :func:`lp`, :func:`linf`, :func:`c0`, :func:`ces`, :func:`ces0`
+    build the same instances.
     """
 
     kind: str
     p: float | None = None
+
+    def __post_init__(self):
+        if self.kind in ("linf", "c0", "ces0") and self.p is None:
+            return
+        if self.kind not in ("lp", "ces"):
+            raise InvalidConfigError(f"no space {self.kind!r} with exponent {self.p!r}")
+        p = _check_exponent(self.p)
+        if math.isinf(p):
+            raise UnsupportedExponentError(f"{self.kind}(p) requires finite p > 1")
+        object.__setattr__(self, "p", p)
+
+    @property
+    def exponent(self):
+        """The exponent p of the norm: inf for linf, c0 and ces0."""
+        return math.inf if self.p is None else self.p
 
     def label(self):
         if self.p is not None:
@@ -72,9 +87,7 @@ class Space:
 def lp(p):
     """The l^p space, 1 < p < inf."""
     p = _check_exponent(p)
-    if math.isinf(p):
-        return linf()
-    return Space("lp", p)
+    return linf() if math.isinf(p) else Space("lp", p)
 
 
 def linf():
@@ -94,9 +107,6 @@ def c0():
 
 def ces(p):
     """The Cesaro space ces(p): p-norm of the running averages of |x|."""
-    p = _check_exponent(p)
-    if math.isinf(p):
-        raise UnsupportedExponentError("ces(p) requires finite p > 1")
     return Space("ces", p)
 
 
@@ -131,6 +141,26 @@ def _as_finite_vector(x):
     return x
 
 
+def _norms(space, x):
+    """Norms of ``space`` along the last axis of ``x``, and the running averages.
+
+    The averages are those the ces norms were taken from, None in the other
+    spaces.  A row whose p-norm overflows, or underflows to 0 though the row
+    is not zero, gets m ||x/m||_p instead, with m its largest modulus.
+    """
+    with np.errstate(all="ignore"):
+        averages = cesaro_averages(x) if space.kind in ("ces", "ces0") else None
+        y, p = (x if averages is None else averages), space.exponent
+        values = np.linalg.norm(y, p, axis=-1)
+        bad = (values == 0.0) | (values == np.inf)
+        if bad.any():
+            m = np.abs(y[bad]).max(axis=-1)
+            fix = (m > 0.0) & (m < np.inf)  # zero rows and rows holding inf stay
+            bad[bad] = fix
+            values[bad] = m[fix] * np.linalg.norm(y[bad] / m[fix, None], p, axis=-1)
+    return values, averages
+
+
 def norm(space, x):
     """Evaluate the norm of ``space`` on a finite vector.
 
@@ -141,16 +171,7 @@ def norm(space, x):
     x = _as_finite_vector(x)
     if x.shape[0] == 0:
         return 0.0
-    kind = space.kind
-    if kind == "lp":
-        return float(np.linalg.norm(x, space.p))
-    if kind in ("linf", "c0"):
-        return float(np.abs(x).max())
-    if kind == "ces":
-        return float(np.linalg.norm(cesaro_averages(x), space.p))
-    if kind == "ces0":
-        return float(cesaro_averages(x).max())
-    raise ValueError(f"unknown space kind {space.kind!r}")
+    return float(_norms(space, x[None])[0][0])
 
 
 def parse_space(text):

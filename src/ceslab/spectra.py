@@ -19,6 +19,8 @@ a sweep chunk of L of one size: it stacks them into one matrix with (L, n)
 generators (:func:`~ceslab.triangular.stack`), takes the row sums and l^p
 upper bounds from the stack, and runs Lanczos per operator or the block
 power method :func:`_lockstep_ascent` on one (k, L, n) block of iterates.
+Every norm of a vector or a stack is taken by :mod:`ceslab.spaces`, and
+the disk's radius comes from the space's exponent.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
@@ -36,10 +38,10 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
-from .errors import InvalidConfigError, UnsupportedParameterError
+from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedParameterError
 from .resolvent import gamma as gamma_of
 from .resolvent import resolvent_operator
-from .spaces import cesaro_averages, dual_exponent
+from .spaces import _norms, cesaro_averages, dual_exponent
 from .triangular import stack
 
 __all__ = [
@@ -107,12 +109,7 @@ def spectrum_disk(space):
     The max-norm spaces (l-infinity, c0, ces(0)) all have p' = 1 and share
     the disk of radius 1/2.
     """
-    if space.kind in ("lp", "ces"):
-        half = dual_exponent(space.p) / 2.0
-    elif space.kind in ("linf", "c0", "ces0"):
-        half = 0.5
-    else:
-        raise ValueError(f"unknown space kind {space.kind!r}")
+    half = dual_exponent(space.exponent) / 2.0
     return SpectralDisk(center=half, radius=half)
 
 
@@ -190,17 +187,6 @@ def _ces_dual_transpose(g):
     return np.cumsum(weighted[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _ascent_norms(space, x):
-    # the norm of ``space`` of every row of a stack of vectors, and the
-    # running averages of the rows it was taken from (None in l^p)
-    if space.kind == "lp":
-        return np.linalg.norm(x, space.p, axis=-1), None
-    averages = cesaro_averages(x)
-    if space.kind == "ces0":
-        return averages.max(axis=-1), averages
-    return np.linalg.norm(averages, space.p, axis=-1), averages
-
-
 def _ascent_starts(space, n, seed, extra_starts):
     """The start vectors of one ascent, as the rows of a (k, n) array.
 
@@ -250,8 +236,7 @@ def _lockstep_ascent(space, operators, starts):
     for i, s in enumerate(starts):
         X[: len(s), i] = s
         live[: len(s), i] = True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale, _ = _ascent_norms(space, X)
+    scale, _ = _norms(space, X)
     live &= scale > 0
     X /= np.where(live, scale, 1.0)[..., None]
     prev = np.full((k, L), -np.inf)
@@ -264,10 +249,10 @@ def _lockstep_ascent(space, operators, starts):
     converged = np.zeros(L, dtype=bool)
 
     p, max_type = space.p, space.kind == "ces0"
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(ASCENT_MAX_ITER):
             y = A.matvec(X)
-            est, w = _ascent_norms(space, y)
+            est, w = _norms(space, y)
             better = live & (est > best[slot])
             best[slot[better]] = est[better]
             best_x[slot[better]] = X[better]
@@ -286,7 +271,7 @@ def _lockstep_ascent(space, operators, starts):
             live &= np.abs(z).max(axis=-1) > 0
             if not max_type:
                 z = _lp_dual_map(z, dual_exponent(p))
-            scale, _ = _ascent_norms(space, z)
+            scale, _ = _norms(space, z)
             live &= scale > 0
             X = z
             X /= scale[..., None]  # stopped rows go stale: no ratio of theirs counts
@@ -346,7 +331,7 @@ def _ces0_column_sup(A):
         spikes = np.zeros((hi - lo, A.n))
         spikes[:, lo:hi] = np.eye(hi - lo)
         block = absA.matvec(spikes).real  # row m is column m of |A|
-        best_averages[lo:hi] = (np.cumsum(block, axis=-1) / rows).max(axis=-1)
+        best_averages[lo:hi] = cesaro_averages(block).max(axis=-1)
     per_column = best_averages * rows
     m_best = int(np.argmax(per_column))
     spike = np.zeros(A.n, dtype=np.complex128)
@@ -364,8 +349,6 @@ def _norm_reports(space, operators, seeds, extra_starts):
     spike start when it beats the ascent.
     """
     kind = space.kind
-    if kind not in ("lp", "linf", "c0", "ces", "ces0"):
-        raise ValueError(f"unknown space kind {space.kind!r}")
     for seed in seeds:
         if seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {seed}")
@@ -528,7 +511,7 @@ def sweep(space, grid, sizes, seed=0):
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidConfigError(f"sizes must be nonempty ascending, got {sizes}")
     if sizes[0] < 1:
-        raise InvalidConfigError(f"sizes must be positive, got {sizes}")
+        raise InvalidDimensionError(f"sizes must be positive, got {sizes}")
     points = grid.points() if isinstance(grid, GridSpec) else list(grid)
     if not points:
         raise InvalidConfigError("empty lambda grid")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ceslab.cli
 from ceslab.cli import main, parse_complex
 from ceslab.errors import InvalidConfigError
 
@@ -343,6 +344,10 @@ class TestBadInput:
             (["bounds", "--kind=gamma_56", "--alpha=0.5", "--n=1"], 2, "need n >= 2, got 1"),
             (["bounds", "--kind=collimit_49", "--lambda=0.6+0.1i", "--n=10"], 2, "at alpha = 1.62"),
             (["verify", "--lambda=0.5", "--n=16"], 2, "within 0.000e+00 of 0.5, a pole"),
+            (["bounds", "--kind=diag_36", "--lambda=2", "--n=0"], 2, "size must be >= 1, got 0"),
+            (["verify", "--lambda=2", "--n=0"], 2, "size must be >= 1, got 0"),
+            (["norms", "--sizes=0", "--spaces=lp:3"], 2, "size must be >= 1, got 0"),
+            ([*SWEEP_FLAGS, "--sizes=0,4"], 2, "sizes must be positive, got [0, 4]"),
         ],
     )
     def test_exits_with_one_error_line(self, argv, code, message, capsys):
@@ -353,6 +358,25 @@ class TestBadInput:
         for text in ("Traceback", "NaN", "Infinity"):
             assert text not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 1.31 TiB"), "error: Unable to allocate 1.31 TiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_running_out_of_memory_ends_in_one_error_line(exc, line, monkeypatch, capsys):
+    # the allocation fails in a callee; a real one could succeed lazily
+    def refuse(lam, n):
+        raise exc
+
+    monkeypatch.setattr(ceslab.cli, "residual", refuse)
+    assert main(["verify", "--lambda=2", "--n=300000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    assert captured.out == ""
 
 
 def test_module_entry_point_runs_the_cli():

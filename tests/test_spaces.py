@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ceslab import (
     InvalidConfigError,
+    Space,
     UnsupportedExponentError,
     apply,
     c0,
@@ -19,6 +21,7 @@ from ceslab import (
     norm,
     parse_space,
 )
+from ceslab.spaces import _norms
 from conftest import random_vector
 
 ALL_SPACES = [lp(1.2), lp(2), lp(3), linf(), c0(), ces(1.5), ces(2), ces0()]
@@ -68,6 +71,29 @@ class TestSpaceFactories:
         with pytest.raises(InvalidConfigError):
             parse_space("banach")
 
+    @pytest.mark.parametrize("kind, p, error, message", [
+        ("foo", None, InvalidConfigError, "no space 'foo' with exponent None"),
+        ("LP", 2.0, InvalidConfigError, "no space 'LP' with exponent 2.0"),
+        ("lp", 1.0, UnsupportedExponentError, "got 1.0"),
+        ("lp", 1.0 + 1e-9, UnsupportedExponentError, "too close to 1"),
+        ("lp", None, TypeError, "NoneType"),
+        ("lp", math.inf, UnsupportedExponentError, "lp(p) requires finite p"),
+        ("ces", math.inf, UnsupportedExponentError, "ces(p) requires finite p"),
+        ("ces", math.nan, UnsupportedExponentError, "got nan"),
+        ("linf", 2.0, InvalidConfigError, "no space 'linf' with exponent 2.0"),
+        ("ces0", 2, InvalidConfigError, "no space 'ces0' with exponent 2"),
+    ])
+    def test_space_refuses_a_bad_kind_or_exponent(self, kind, p, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Space(kind, p)
+
+    @pytest.mark.parametrize("space, exponent", [
+        (lp(3), 3.0), (ces(1.5), 1.5), (linf(), math.inf), (c0(), math.inf), (ces0(), math.inf),
+    ])
+    def test_exponent(self, space, exponent):
+        assert space.exponent == exponent
+        assert Space(space.kind, space.p) == space
+
 
 class TestNormValues:
     def test_euclidean(self):
@@ -90,6 +116,33 @@ class TestNormValues:
 
     def test_empty_vector(self):
         assert norm(lp(2), []) == 0.0
+
+    @pytest.mark.parametrize("space", ALL_SPACES + [lp(50), ces(50), lp(400)])
+    def test_stacked_rows_match_the_public_norm_bitwise(self, space, rng):
+        # a (k, L, n) stack whose rows span scales where the plain p-norm
+        # overflows or underflows, plus a zero row
+        k, L, n = 3, 4, 9
+        scales = 10.0 ** rng.uniform(-300, 300, size=(k, L, 1))
+        stack = np.stack([random_vector(rng, n) for _ in range(k * L)]).reshape(k, L, n)
+        stack *= scales
+        stack[0, 0] = 0.0
+        values, averages = _norms(space, stack)
+        assert values.shape == (k, L)
+        assert (averages is None) == (space.kind in ("lp", "linf", "c0"))
+        for j in range(k):
+            for i in range(L):
+                assert values[j, i] == norm(space, stack[j, i])
+        assert np.all(np.isfinite(values)) and np.all(values[stack.any(axis=-1)] > 0)
+
+    @pytest.mark.parametrize("space, x, expected", [
+        (lp(50), [1e7] * 4, 1e7 * 4 ** (1 / 50)),
+        (ces(50), [1e7] * 4, 1e7 * 4 ** (1 / 50)),
+        (lp(400), [0.1] * 4, 0.1 * 4 ** (1 / 400)),
+        (lp(2), [3e200, 4e200], 5e200),
+        (lp(2), [3e-200, 4e-200], 5e-200),
+    ])
+    def test_large_p_neither_overflows_nor_underflows(self, space, x, expected):
+        assert norm(space, x) == pytest.approx(expected, rel=1e-14)
 
 
 class TestLatticeNorm:

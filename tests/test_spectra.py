@@ -7,6 +7,7 @@ from scipy.linalg import svdvals
 from ceslab import (
     GridSpec,
     InvalidConfigError,
+    InvalidDimensionError,
     LowerTriangularMatrix,
     SweepRecord,
     UnsupportedParameterError,
@@ -150,6 +151,17 @@ class TestOperatorNorms:
             np.linalg.norm(A.dense() @ report.best_vector), rel=1e-12
         )
         assert report.value <= svdvals(A.dense())[0] * (1 + 1e-12)
+
+    def test_large_p_report_is_finite_and_below_its_upper_bound(self):
+        # the plain 50-norm of R x overflows here; the estimate must not
+        space, R = lp(50), resolvent_operator(0.34 + 0.002j, 256)
+        report = operator_norm_report(space, R)
+        rows, cols = R.abs_row_sums().max(), R.abs_col_sums().max()
+        upper = cols ** (1 / 50) * rows ** (1 / dual_exponent(50))
+        assert report.upper == pytest.approx(upper, rel=1e-14)
+        assert np.isfinite(report.value) and 0 < report.value <= report.upper
+        x = report.best_vector
+        assert report.value == pytest.approx(norm(space, R.matvec(x)) / norm(space, x), rel=1e-12)
 
     def test_ces_norm_bounded_by_hardy_constant(self):
         value = operator_norm_report(ces(2), cesaro_matrix(64)).value
@@ -417,6 +429,8 @@ class TestSweep:
             sweep(lp(2), [2 + 2j], [64, 64])
         with pytest.raises(InvalidConfigError):
             sweep(lp(2), [2 + 2j], [])
+        with pytest.raises(InvalidDimensionError, match=r"got \[0, 4\]"):
+            sweep(lp(2), [2 + 2j], [0, 4])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidConfigError):
