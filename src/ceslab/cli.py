@@ -63,24 +63,12 @@ _PRECONDITION_ERRORS = (
 
 
 def parse_complex(text):
-    """Parse "a+bi" / "a-bi" with optional whitespace and scientific notation."""
+    """Parse "a+bi" / "a-bi" (or Python's "a+bj") with optional whitespace and exponents."""
     s = "".join(str(text).split())
-    if not s:
-        raise InvalidConfigError("empty complex literal")
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     try:
-        if s[-1] in "ij":
-            body = s[:-1]
-            split = 0
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "eE":
-                    split = k
-                    break
-            re_s, im_s = body[:split], body[split:]
-            if im_s in ("", "+", "-"):
-                im_s += "1"
-            value = complex(float(re_s) if re_s else 0.0, float(im_s))
-        else:
-            value = complex(float(s), 0.0)
+        value = complex(s)
     except ValueError:
         raise InvalidConfigError(f"cannot parse complex number {text!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

@@ -145,8 +145,8 @@ def _norms(space, x):
     """Norms of ``space`` along the last axis of ``x``, and the running averages.
 
     The averages are those the ces norms were taken from, None in the other
-    spaces.  A row whose p-norm overflows, or underflows to 0 though the row
-    is not zero, gets m ||x/m||_p instead, with m its largest modulus.
+    spaces.  A row whose norm overflows, or underflows to 0 though the row
+    is not zero, gets m ||x/m|| instead, with m its largest modulus.
     """
     with np.errstate(all="ignore"):
         averages = cesaro_averages(x) if space.kind in ("ces", "ces0") else None
@@ -154,11 +154,69 @@ def _norms(space, x):
         values = np.linalg.norm(y, p, axis=-1)
         bad = (values == 0.0) | (values == np.inf)
         if bad.any():
-            m = np.abs(y[bad]).max(axis=-1)
+            m = np.abs(x[bad]).max(axis=-1)
             fix = (m > 0.0) & (m < np.inf)  # zero rows and rows holding inf stay
             bad[bad] = fix
-            values[bad] = m[fix] * np.linalg.norm(y[bad] / m[fix, None], p, axis=-1)
+            scaled = x[bad] / m[fix, None]
+            if averages is not None:
+                scaled = cesaro_averages(scaled)
+            values[bad] = m[fix] * np.linalg.norm(scaled, p, axis=-1)
     return values, averages
+
+
+def _phase(v):
+    out = np.zeros_like(v)
+    np.divide(v, np.abs(v), out=out, where=np.abs(v) > 0)
+    return out
+
+
+def _lp_dual_map(z, p_dual):
+    # maximizer of Re<z, x> over the unit p-ball, up to normalization
+    return _phase(z) * np.abs(z) ** (p_dual - 1.0)
+
+
+def _cesaro_transpose(g):
+    # (C^T g)_m = sum_{j >= m} g_j / j, 1-based, along the last axis
+    weighted = g / np.arange(1, g.shape[-1] + 1, dtype=np.float64)
+    return np.cumsum(weighted[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _norming_functionals(space, y, values, averages):
+    """Subgradients g of the lp or ces norm at the rows of ``y``, up to a positive factor.
+
+    ``values`` and ``averages`` are :func:`_norms` of ``y``; sum(conj(g) y)
+    is ||y||^p in lp(p) and ||y|| in ces(p) and ces(0).
+    """
+    if space.kind == "lp":
+        return _lp_dual_map(y, space.p)
+    if space.kind == "ces0":
+        g = np.zeros_like(averages)
+        np.put_along_axis(g, averages.argmax(axis=-1)[..., None], 1.0, axis=-1)
+    else:
+        g = (averages / values[..., None]) ** (space.p - 1.0)
+    return _phase(y) * _cesaro_transpose(g)
+
+
+def _primal_directions(space, z):
+    """The next ascent iterates from the dual vectors ``z``, up to normalization."""
+    if space.kind == "ces0":
+        return z
+    return _lp_dual_map(z, dual_exponent(space.p))
+
+
+def _vertex_starts(space, n):
+    """Ascent starts at vertices of the unit ball; only ces(0) has any.
+
+    They are the scaled spikes m e_m, m = 1, 2, 4, ..., the ones vector and
+    the tails of ones from m = 2, 8, 32, ...: extreme rays of its unit ball.
+    """
+    if space.kind != "ces0":
+        return []
+    index = np.arange(1, n + 1)
+    powers = 2 ** np.arange(n.bit_length())  # 1, 2, 4, ... <= n
+    spikes = [np.where(index == m, m, 0.0) for m in powers]
+    tails = [np.where(index >= m, 1.0, 0.0) for m in powers[1::2]]
+    return spikes + [np.ones(n)] + tails
 
 
 def norm(space, x):

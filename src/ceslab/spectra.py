@@ -19,8 +19,10 @@ a sweep chunk of L of one size: it stacks them into one matrix with (L, n)
 generators (:func:`~ceslab.triangular.stack`), takes the row sums and l^p
 upper bounds from the stack, and runs Lanczos per operator or the block
 power method :func:`_lockstep_ascent` on one (k, L, n) block of iterates.
-Every norm of a vector or a stack is taken by :mod:`ceslab.spaces`, and
-the disk's radius comes from the space's exponent.
+:mod:`ceslab.spaces` owns each norm's calculus (the norms of a vector or
+a stack, the ascent's norming functionals, dual maps and vertex starts), so
+the ascent never tests the space.  The disk's radius comes from the space's
+exponent.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
@@ -41,7 +43,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedParameterError
 from .resolvent import gamma as gamma_of
 from .resolvent import resolvent_operator
-from .spaces import _norms, cesaro_averages, dual_exponent
+from .spaces import _norming_functionals, _norms, _primal_directions, _vertex_starts
+from .spaces import cesaro_averages, dual_exponent
 from .triangular import stack
 
 __all__ = [
@@ -137,12 +140,6 @@ class NormEstimate:
     best_vector: np.ndarray | None = None
 
 
-def _phase(v):
-    out = np.zeros_like(v)
-    np.divide(v, np.abs(v), out=out, where=np.abs(v) > 0)
-    return out
-
-
 def _l2_estimate(A, seed, upper):
     n = A.n
     real = A.is_real()
@@ -176,23 +173,12 @@ def _l2_estimate(A, seed, upper):
     return NormEstimate(value, upper, "lanczos", False, converged, vector)
 
 
-def _lp_dual_map(z, p_dual):
-    # maximizer of Re<z, x> over the unit p-ball, up to normalization
-    return _phase(z) * np.abs(z) ** (p_dual - 1.0)
-
-
-def _ces_dual_transpose(g):
-    # (C^T g)_m = sum_{j >= m} g_j / j, 1-based, along the last axis
-    weighted = g / np.arange(1, g.shape[-1] + 1, dtype=np.float64)
-    return np.cumsum(weighted[..., ::-1], axis=-1)[..., ::-1]
-
-
 def _ascent_starts(space, n, seed, extra_starts):
     """The start vectors of one ascent, as the rows of a (k, n) array.
 
     In order: the ones vector, ASCENT_RESTARTS - 1 seeded random positive
-    vectors, the nonzero ``extra_starts`` of length n and, for ces(0), the
-    vertex starts.
+    vectors, the nonzero ``extra_starts`` of length n and the space's vertex
+    starts (:func:`~ceslab.spaces._vertex_starts`).
     """
     starts = [np.ones(n)]
     rng = np.random.default_rng(seed)
@@ -202,8 +188,7 @@ def _ascent_starts(space, n, seed, extra_starts):
         v = np.asarray(vec)
         if v.shape == (n,) and np.abs(v).max() > 0:
             starts.append(v)
-    if space.kind == "ces0":
-        starts.extend(_ces0_vertex_starts(n))
+    starts.extend(_vertex_starts(space, n))
     return np.array(starts)
 
 
@@ -248,7 +233,6 @@ def _lockstep_ascent(space, operators, starts):
     owner = np.arange(L)  # the operator of each block column
     converged = np.zeros(L, dtype=bool)
 
-    p, max_type = space.p, space.kind == "ces0"
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(ASCENT_MAX_ITER):
             y = A.matvec(X)
@@ -259,18 +243,9 @@ def _lockstep_ascent(space, operators, starts):
             live &= (est > 0.0) & (est - prev > ASCENT_RTOL * np.maximum(est, 1.0))
             prev = est
             # step along the norm's subgradient, pulled back through A*
-            if space.kind == "lp":
-                z = A.rmatvec(_lp_dual_map(y, p))
-            else:
-                if max_type:
-                    g = np.zeros_like(w)
-                    np.put_along_axis(g, w.argmax(axis=-1)[..., None], 1.0, axis=-1)
-                else:
-                    g = (w / est[..., None]) ** (p - 1.0)
-                z = A.rmatvec(_phase(y) * _ces_dual_transpose(g))
+            z = A.rmatvec(_norming_functionals(space, y, est, w))
             live &= np.abs(z).max(axis=-1) > 0
-            if not max_type:
-                z = _lp_dual_map(z, dual_exponent(p))
+            z = _primal_directions(space, z)
             scale, _ = _norms(space, z)
             live &= scale > 0
             X = z
@@ -298,26 +273,6 @@ def _lockstep_ascent(space, operators, starts):
         (float(v), x if v > 0 else None, bool(c))
         for v, x, c in zip(best[top], best_x[top], converged)
     ]
-
-
-def _ces0_vertex_starts(n):
-    # extreme rays of the ces(0) unit ball reachable in closed form:
-    # scaled basis spikes m e_m and tail-ones vectors
-    starts = []
-    m = 1
-    while m <= n:
-        spike = np.zeros(n)
-        spike[m - 1] = m
-        starts.append(spike)
-        m *= 2
-    starts.append(np.ones(n))
-    m = 2
-    while m <= n:
-        t = np.zeros(n)
-        t[m - 1 :] = 1.0
-        starts.append(t)
-        m *= 4
-    return starts
 
 
 def _ces0_column_sup(A):

@@ -23,6 +23,7 @@ class TestParseComplex:
         ("-i", -1j),
         (" 3 + 4 i ", 3 + 4j),
         ("1.5j", 1.5j),
+        ("1+2J", 1 + 2j),
     ])
     def test_accepted_forms(self, text, value):
         assert parse_complex(text) == value

@@ -21,7 +21,7 @@ from ceslab import (
     norm,
     parse_space,
 )
-from ceslab.spaces import _norms
+from ceslab.spaces import _norming_functionals, _norms
 from conftest import random_vector
 
 ALL_SPACES = [lp(1.2), lp(2), lp(3), linf(), c0(), ces(1.5), ces(2), ces0()]
@@ -140,9 +140,33 @@ class TestNormValues:
         (lp(400), [0.1] * 4, 0.1 * 4 ** (1 / 400)),
         (lp(2), [3e200, 4e200], 5e200),
         (lp(2), [3e-200, 4e-200], 5e-200),
+        # finite averages whose running sum overflows
+        (ces(2), [1e308, 1e308], math.sqrt(2) * 1e308),
+        (ces0(), [1e308, 1e308], 1e308),
     ])
     def test_large_p_neither_overflows_nor_underflows(self, space, x, expected):
         assert norm(space, x) == pytest.approx(expected, rel=1e-14)
+
+
+class TestNormCalculus:
+    @pytest.mark.parametrize("space, power", [
+        (lp(1.5), 1.5),
+        (lp(3), 3.0),
+        (ces(1.5), 1.0),
+        (ces(2), 1.0),
+        (ces(3.5), 1.0),
+        (ces0(), 1.0),
+    ], ids=str)
+    def test_norming_functional_pairs_to_the_norm(self, space, power, rng):
+        # sum(conj(g) y) is ||y||^p in lp(p) and ||y|| in the ces spaces
+        k, L, n = 3, 4, 17
+        y = rng.standard_normal((k, L, n)) + 1j * rng.standard_normal((k, L, n))
+        y[1, 2, 5:] = 0.0
+        values, averages = _norms(space, y)
+        g = _norming_functionals(space, y, values, averages)
+        assert g.shape == y.shape
+        pairing = np.sum(np.conj(g) * y, axis=-1)
+        np.testing.assert_allclose(pairing, values**power, rtol=1e-12, atol=0)
 
 
 class TestLatticeNorm:
