@@ -164,15 +164,14 @@ def _norms(space, x):
     return values, averages
 
 
-def _phase(v):
-    out = np.zeros_like(v)
-    np.divide(v, np.abs(v), out=out, where=np.abs(v) > 0)
-    return out
+def _phase(v, m):
+    return v / np.where(m > 0, m, 1.0)  # v/|v|, and 0 where the modulus m is 0
 
 
 def _lp_dual_map(z, p_dual):
     # maximizer of Re<z, x> over the unit p-ball, up to normalization
-    return _phase(z) * np.abs(z) ** (p_dual - 1.0)
+    m = np.abs(z)
+    return _phase(z, m) * m ** (p_dual - 1.0)
 
 
 def _cesaro_transpose(g):
@@ -193,8 +192,8 @@ def _norming_functionals(space, y, values, averages):
         g = np.zeros_like(averages)
         np.put_along_axis(g, averages.argmax(axis=-1)[..., None], 1.0, axis=-1)
     else:
-        g = (averages / values[..., None]) ** (space.p - 1.0)
-    return _phase(y) * _cesaro_transpose(g)
+        g = (averages / np.where(values > 0, values, 1.0)[..., None]) ** (space.p - 1.0)
+    return _phase(y, np.abs(y)) * _cesaro_transpose(g)
 
 
 def _primal_directions(space, z):
@@ -207,16 +206,16 @@ def _primal_directions(space, z):
 def _vertex_starts(space, n):
     """Ascent starts at vertices of the unit ball; only ces(0) has any.
 
-    They are the scaled spikes m e_m, m = 1, 2, 4, ..., the ones vector and
-    the tails of ones from m = 2, 8, 32, ...: extreme rays of its unit ball.
+    They are the scaled spikes m e_m, m = 1, 2, 4, ..., and the tails of
+    ones from m = 2, 8, 32, ... below n: extreme rays of its unit ball.  The
+    ones vector already starts every ascent; the tail from n is n e_n.
     """
     if space.kind != "ces0":
         return []
     index = np.arange(1, n + 1)
     powers = 2 ** np.arange(n.bit_length())  # 1, 2, 4, ... <= n
     spikes = [np.where(index == m, m, 0.0) for m in powers]
-    tails = [np.where(index >= m, 1.0, 0.0) for m in powers[1::2]]
-    return spikes + [np.ones(n)] + tails
+    return spikes + [np.where(index >= m, 1.0, 0.0) for m in powers[1::2] if m < n]
 
 
 def norm(space, x):

@@ -34,7 +34,7 @@ time, so it needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +45,7 @@ from .resolvent import gamma as gamma_of
 from .resolvent import resolvent_operator
 from .spaces import _norming_functionals, _norms, _primal_directions, _vertex_starts
 from .spaces import cesaro_averages, dual_exponent
-from .triangular import stack
+from .triangular import LowerTriangularMatrix, stack
 
 __all__ = [
     "SpectralDisk",
@@ -177,17 +177,14 @@ def _ascent_starts(space, n, seed, extra_starts):
     """The start vectors of one ascent, as the rows of a (k, n) array.
 
     In order: the ones vector, ASCENT_RESTARTS - 1 seeded random positive
-    vectors, the nonzero ``extra_starts`` of length n and the space's vertex
-    starts (:func:`~ceslab.spaces._vertex_starts`).
+    vectors, the ``extra_starts`` of length n and the space's vertex starts
+    (:func:`~ceslab.spaces._vertex_starts`).
     """
     starts = [np.ones(n)]
     rng = np.random.default_rng(seed)
     for _ in range(ASCENT_RESTARTS - 1):
         starts.append(np.abs(rng.standard_normal(n)))
-    for vec in extra_starts:
-        v = np.asarray(vec)
-        if v.shape == (n,) and np.abs(v).max() > 0:
-            starts.append(v)
+    starts.extend(extra_starts)
     starts.extend(_vertex_starts(space, n))
     return np.array(starts)
 
@@ -199,11 +196,11 @@ def _lockstep_ascent(space, operators, starts):
     operators form one stacked matrix with (L, n) generators, and the
     running iterates one (k, L, n) block, so that every product is one
     running sum over the whole block.  Each (start, operator) row runs the
-    rule of a single ascent (Higham, Numer. Math. 62, 1992): it stops when
-    its ratio stops rising by more than ASCENT_RTOL or a step vanishes, and
-    it keeps its own best ratio.  Stopped rows leave the block, and so does
-    an operator once all its rows have stopped; the stack is rebuilt from
-    the operators still running.
+    rule of a single ascent (Higham, Numer. Math. 62, 1992) and keeps its
+    own best ratio: it runs while its ratio is finite and still rising by
+    more than ASCENT_RTOL and its next iterate has a positive norm.  Stopped
+    rows leave the block, and so does an operator once all its rows have
+    stopped; the stack is rebuilt from the operators still running.
 
     Every iterate is a unit vector, so each ratio is a certified lower
     bound.  Returns (value, best_vector, converged) per operator: the
@@ -237,14 +234,14 @@ def _lockstep_ascent(space, operators, starts):
         for _ in range(ASCENT_MAX_ITER):
             y = A.matvec(X)
             est, w = _norms(space, y)
+            live &= np.isfinite(est)
             better = live & (est > best[slot])
             best[slot[better]] = est[better]
             best_x[slot[better]] = X[better]
-            live &= (est > 0.0) & (est - prev > ASCENT_RTOL * np.maximum(est, 1.0))
+            live &= est - prev > ASCENT_RTOL * np.maximum(est, 1.0)
             prev = est
             # step along the norm's subgradient, pulled back through A*
             z = A.rmatvec(_norming_functionals(space, y, est, w))
-            live &= np.abs(z).max(axis=-1) > 0
             z = _primal_directions(space, z)
             scale, _ = _norms(space, z)
             live &= scale > 0
@@ -283,9 +280,7 @@ def _ces0_column_sup(A):
     best_averages = np.empty(A.n)
     for lo in range(0, A.n, _COLUMN_BLOCK):
         hi = min(A.n, lo + _COLUMN_BLOCK)
-        spikes = np.zeros((hi - lo, A.n))
-        spikes[:, lo:hi] = np.eye(hi - lo)
-        block = absA.matvec(spikes).real  # row m is column m of |A|
+        block = absA.matvec(np.eye(hi - lo, A.n, lo)).real  # row m is column m of |A|
         best_averages[lo:hi] = cesaro_averages(block).max(axis=-1)
     per_column = best_averages * rows
     m_best = int(np.argmax(per_column))
@@ -301,36 +296,44 @@ def _norm_reports(space, operators, seeds, extra_starts):
     and ``extra_starts[i]`` adds ascent starts of its own.  The max-norm
     row sums and the l^p upper bound colmax^(1/p) rowmax^(1/p') come from
     one stack of all L operators.  ces(0) reports take the exact best
-    spike start when it beats the ascent.
+    spike start when it beats the ascent.  Where B^q overflows, with B = m 2^e
+    the largest absolute row or column sum and q the largest finite one of
+    p, p' and 2, the report is that of A 2^-e (exact), scaled back by 2^e.
     """
     kind = space.kind
     for seed in seeds:
         if seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {seed}")
-    uppers = [None] * len(operators)
-    if kind in ("lp", "linf", "c0"):
-        stacked = stack(operators)
-        rows = stacked.abs_row_sums().max(axis=-1)
-        if kind != "lp":
-            return [NormEstimate(v, v, "rowsum", True, True) for v in rows.tolist()]
-        cols = stacked.abs_col_sums().max(axis=-1)
-        uppers = (cols ** (1.0 / space.p) * rows ** (1.0 / dual_exponent(space.p))).tolist()
-        if space.p == 2.0:
-            return [_l2_estimate(A, s, u) for A, s, u in zip(operators, seeds, uppers)]
+    stacked = stack(operators)
+    rows = stacked.abs_row_sums().max(axis=-1)
+    if kind in ("linf", "c0"):
+        return [NormEstimate(v, v, "rowsum", True, True) for v in rows.tolist()]
+    cols, p = stacked.abs_col_sums().max(axis=-1), space.exponent
+    big, q = np.maximum(rows, cols), max(x for x in (p, dual_exponent(p), 2.0) if x < np.inf)
+    shifts = np.where(big > np.finfo(float).max ** (1 / q), np.frexp(big)[1], 0).tolist()
+    if any(shifts):  # only d and u scale
+        scaled = [LowerTriangularMatrix(A.d * 2.0**-e, A.u * 2.0**-e, A.v, A.starts, A.ratios)
+                  for A, e in zip(operators, shifts)]
+        reports = _norm_reports(space, scaled, seeds, extra_starts)
+        return [replace(r, value=np.ldexp(r.value, e), upper=r.upper and np.ldexp(r.upper, e))
+                for r, e in zip(reports, shifts)]
+    uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p))).tolist()
+    if kind == "lp" and p == 2.0:
+        return [_l2_estimate(A, s, u) for A, s, u in zip(operators, seeds, uppers)]
     triples = zip(operators, seeds, extra_starts)
     starts = [_ascent_starts(space, A.n, seed, extra) for A, seed, extra in triples]
     ascents = _lockstep_ascent(space, operators, starts)
     reports = []
     for A, upper, (value, vector, converged) in zip(operators, uppers, ascents):
-        if kind == "ces0":
-            spike_value, spike = _ces0_column_sup(A)
-            if spike_value > value:
-                value, vector = spike_value, spike
+        spike_value, spike = _ces0_column_sup(A) if kind == "ces0" else (0.0, None)
+        if spike_value > value:
+            value, vector = spike_value, spike
+        upper = upper if kind == "lp" else None
         reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
     return reports
 
 
-def operator_norm_report(space, A, seed=0, extra_starts=()):
+def operator_norm_report(space, A, seed=0):
     """Operator norm of A acting from ``space`` to itself: the L = 1 report.
 
     Exact for the max-norm spaces (largest absolute row sum) and for l^2
@@ -339,7 +342,7 @@ def operator_norm_report(space, A, seed=0, extra_starts=()):
     norm of A is the norm of ``A.modulus()``, the least positive operator
     dominating A on these coordinatewise lattices.
     """
-    return _norm_reports(space, [A], [seed], [extra_starts])[0]
+    return _norm_reports(space, [A], [seed], [()])[0]
 
 
 @dataclass(frozen=True)
@@ -489,7 +492,7 @@ def sweep(space, grid, sizes, seed=0):
             for i, lam in enumerate(retained)
         ]
         # k counts the starts of a regular-norm ascent, escort included
-        k = len(_ascent_starts(space, n, seed, [np.ones(n)]))
+        k = ASCENT_RESTARTS + 1 + len(_vertex_starts(space, n))
         length = max(1, _LOCKSTEP_BYTES // (16 * k * n))
         for lo in range(0, len(tasks), length):
             chunk_records = _sweep_task(space, n, tasks[lo : lo + length])

@@ -277,6 +277,16 @@ class TestSweep:
         assert main(SWEEP_FLAGS + [f"--output={missing_dir}"]) == 1
 
 
+class TestOverflowingNorms:
+    def test_lp2_sweep_whose_gram_products_overflow_exits_zero(self, capsys):
+        # |R| reaches about 1e282 at n = 4096, so products with R*R overflow
+        grid = "--re-min=0.005 --re-max=0.005 --im-min=0.002 --im-max=0.002 --step=1"
+        assert main(["sweep", "--space=lp:2", *grid.split(), "--sizes=1024,4096"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert len(captured.out.splitlines()) == 3
+
+
 class TestNorms:
     def test_table_smoke(self, capsys):
         assert main(["norms", "--sizes=8,16", "--spaces=lp:2,linf"]) == 0

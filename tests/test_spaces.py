@@ -162,9 +162,11 @@ class TestNormCalculus:
         k, L, n = 3, 4, 17
         y = rng.standard_normal((k, L, n)) + 1j * rng.standard_normal((k, L, n))
         y[1, 2, 5:] = 0.0
+        y[2, 1] = 0.0
         values, averages = _norms(space, y)
         g = _norming_functionals(space, y, values, averages)
         assert g.shape == y.shape
+        assert np.all(g[2, 1] == 0.0)
         pairing = np.sum(np.conj(g) * y, axis=-1)
         np.testing.assert_allclose(pairing, values**power, rtol=1e-12, atol=0)
 

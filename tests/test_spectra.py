@@ -163,6 +163,39 @@ class TestOperatorNorms:
         x = report.best_vector
         assert report.value == pytest.approx(norm(space, R.matvec(x)) / norm(space, x), rel=1e-12)
 
+    @staticmethod
+    def _scaled(A, factor):
+        return LowerTriangularMatrix(A.d * factor, A.u * factor, A.v, A.starts, A.ratios)
+
+    def test_lp2_norm_whose_gram_products_overflow(self):
+        # (2^900 |R|)^2 overflows; the report is that of a power-of-two rescaling
+        R = resolvent_operator(0.7 + 0.9j, 256)
+        report = operator_norm_report(lp(2), self._scaled(R, 2.0**900))
+        assert report.method == "lanczos" and report.converged
+        assert report.value == np.ldexp(operator_norm_report(lp(2), R).value, 900)
+
+    def test_lp3_ascent_whose_dual_map_overflows(self):
+        R = resolvent_operator(0.7 + 0.9j, 256)
+        report = operator_norm_report(lp(3), self._scaled(R, 2.0**500))
+        unscaled = operator_norm_report(lp(3), R)
+        assert report.value == pytest.approx(np.ldexp(unscaled.value, 500), rel=1e-10)
+        assert report.upper == pytest.approx(np.ldexp(unscaled.upper, 500), rel=1e-14)
+
+    def test_ces0_ascent_whose_products_overflow_stays_finite(self):
+        # 1e307 R x overflows for some unit x; no overflowed ratio may count
+        R = resolvent_operator(0.7 + 0.9j, 64)
+        value = operator_norm_report(ces0(), self._scaled(R, 1e307)).value
+        expected = 1e307 * operator_norm_report(ces0(), R).value
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_ascent_never_records_an_overflowed_ratio(self):
+        S = self._scaled(resolvent_operator(0.7 + 0.9j, 64), 1e307)
+        starts = [_ascent_starts(ces0(), 64, 0, ())]
+        value, vector, _ = _lockstep_ascent(ces0(), [S], starts)[0]
+        assert np.isfinite(value)
+        ratio = norm(ces0(), S.matvec(vector)) / norm(ces0(), vector)
+        assert value == pytest.approx(ratio, rel=1e-12)
+
     def test_ces_norm_bounded_by_hardy_constant(self):
         value = operator_norm_report(ces(2), cesaro_matrix(64)).value
         assert value <= 2.0 + 1e-9
@@ -257,6 +290,15 @@ def sequential_ascent(space, A, starts, max_iter):
     return best, converged
 
 
+class TestAscentStarts:
+    @pytest.mark.parametrize("n", [2, 3, 8, 128, 512, 1000])
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_no_start_repeats_another(self, space, n):
+        starts = _ascent_starts(space, n, 0, ())
+        directions = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+        assert len(np.unique(directions, axis=0)) == len(starts)
+
+
 class TestLockstep:
     """A block of L operators gives each the result of its own L = 1 run."""
 
@@ -280,7 +322,7 @@ class TestLockstep:
         ]
         block = _norm_reports(space, operators, seeds, extra)
         single = [
-            operator_norm_report(space, A, s, e) for A, s, e in zip(operators, seeds, extra)
+            _norm_reports(space, [A], [s], [e])[0] for A, s, e in zip(operators, seeds, extra)
         ]
         assert {r.converged for r in single} == {True, False}
         for b, s in zip(block, single):
@@ -384,13 +426,13 @@ class TestSweep:
         assert first == second
 
     # chunks over 9 lambdas whose (k, L, n) iterate block fits 8192 bytes:
-    # k = 6 starts in l^p, l-infinity and ces(p), 13 (n = 8) or 14 (n = 16)
+    # k = 6 starts in l^p, l-infinity and ces(p), 11 (n = 8) or 13 (n = 16)
     # in ces(0)
     CHUNKS = {
         "lp": [(8, 9), (16, 5), (16, 4)],
         "linf": [(8, 9), (16, 5), (16, 4)],
         "ces": [(8, 9), (16, 5), (16, 4)],
-        "ces0": [(8, 4), (8, 4), (8, 1)] + [(16, 2)] * 4 + [(16, 1)],
+        "ces0": [(8, 5), (8, 4)] + [(16, 2)] * 4 + [(16, 1)],
     }
 
     @pytest.mark.parametrize("space", [lp(2), lp(3), linf(), ces(2), ces0()], ids=str)
@@ -417,7 +459,7 @@ class TestSweep:
                 R = resolvent_operator(lam, n)
                 op = operator_norm_report(space, R, seed)
                 escort = () if op.best_vector is None else (np.abs(op.best_vector),)
-                reg = operator_norm_report(space, R.modulus(), seed, escort)
+                reg = _norm_reports(space, [R.modulus()], [seed], [escort])[0]
                 expected.append((lam, n, op.value, reg.value))
         assert [(r.lam, r.n) for r in records] == [e[:2] for e in expected]
         for rec, (_, _, op, reg) in zip(records, expected):
