@@ -10,15 +10,18 @@ the open disk.
 Operator norms are exact where a closed form exists (max row sums on the
 max-norm spaces, singular values on l^2) and otherwise estimated by a
 dual-exponent ascent iteration that returns the best certified lower bound,
-paired with a row-sum-style upper bound where one is available.  Above
-SVD_CUTOFF the l^2 norm comes from Lanczos bidiagonalization (ARPACK
-through ``scipy.sparse.linalg.svds``) instead of a dense SVD.
+paired with a row-sum-style upper bound where one is available.  Up to
+SVD_CUTOFF the l^2 norms of a chunk come from one batched dense SVD; above
+it from :func:`_lockstep_lanczos`, thick-restarted Lanczos
+bidiagonalization of the whole chunk, run until each Ritz residual is at
+the rounding level.  Both use numpy alone.
 
 There is one norm-report path, :func:`_norm_reports`, for one operator or
 a sweep chunk of L of one size: it stacks them into one matrix with (L, n)
 generators (:func:`~ceslab.triangular.stack`), takes the row sums and l^p
-upper bounds from the stack, and runs Lanczos per operator or the block
-power method :func:`_lockstep_ascent` on one (k, L, n) block of iterates.
+upper bounds from the stack, and runs Lanczos on one (L, n) block per
+step, or the block power method :func:`_lockstep_ascent` on one (k, L, n)
+block of iterates.
 :mod:`ceslab.spaces` owns each norm's calculus (the norms of a vector or
 a stack, the ascent's norming functionals, dual maps and vertex starts), so
 the ascent never tests the space.  The disk's radius comes from the space's
@@ -37,8 +40,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedParameterError
 from .resolvent import gamma as gamma_of
@@ -79,6 +80,12 @@ GRID_POINTS_MAX = 10**6
 # Lanczos bidiagonalization run to machine precision, which needs only
 # products with the matrix and its adjoint.
 SVD_CUTOFF = 64
+
+# A Lanczos row stops once its Ritz residual is at most LANCZOS_RTOL times
+# its top Ritz value, or after LANCZOS_MAX_PRODUCTS products with its
+# operator.
+LANCZOS_RTOL = 4 * np.finfo(float).eps
+LANCZOS_MAX_PRODUCTS = 20000
 
 # Each ascent starts from the ones vector and ASCENT_RESTARTS - 1 seeded
 # random vectors, and a start stops once its ratio rises by no more than
@@ -126,10 +133,10 @@ class NormEstimate:
 
     ``value`` is exact for the closed-form paths and a certified lower
     bound for the ascent paths (it is the norm ratio at an actual vector).
-    The Lanczos path reports the largest singular value to rounding when
-    ARPACK converges, and otherwise the norm ratio at its last iterate
-    with ``converged`` false.  ``upper`` is a row-sum-based upper bound
-    when one is available.
+    The Lanczos path reports the norm ratio at its unit top Ritz vector:
+    the largest singular value to rounding when the Ritz residual passed
+    its test, and with ``converged`` false when the product cap came
+    first.  ``upper`` is a row-sum-based upper bound when one is available.
     """
 
     value: float
@@ -140,37 +147,143 @@ class NormEstimate:
     best_vector: np.ndarray | None = None
 
 
-def _l2_estimate(A, seed, upper):
-    n = A.n
-    real = A.is_real()
-    if n <= SVD_CUTOFF:
-        dense = A.dense()
-        if real:
-            dense = dense.real  # real SVD is about twice as fast
-        value = float(scipy.linalg.svdvals(dense)[0])
-        return NormEstimate(value, value, "svd", True, True)
+def _real_stack(operators, real):
+    """:func:`~ceslab.triangular.stack` of ``operators``, with real generators if ``real``."""
+    A = stack(operators)
+    if real:
+        A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
+    return A
+
+
+def _orthogonalize(basis, x):
+    """Subtract from each row of x (w, n) its projection on the orthonormal rows
+    of its basis (w, j, n), in place; only x is conjugated."""
+    c = np.matmul(basis, x.conj()[..., None])  # conj <b_i, x>, shape (w, j, 1)
+    x -= np.matmul(c.conj().swapaxes(-1, -2), basis)[:, 0]
+
+
+def _lanczos_depth(w, n):
+    # the deepest basis whose P and Q blocks, 2 (w, m, n) complex, fit
+    # _LOCKSTEP_BYTES, but at least 20 and at most n deep
+    return min(n, max(20, _LOCKSTEP_BYTES // (32 * w * n)))
+
+
+def _lockstep_lanczos(operators, seeds, real):
+    """Largest singular values of L operators of one size, in lockstep.
+
+    Golub-Kahan-Lanczos bidiagonalization A P = Q B, A* Q = P B^T + r e^T,
+    with full reorthogonalization, thick-restarted (Baglama and Reichel,
+    SIAM J. Sci. Comput. 27, 2005): at depth m the top m // 2 Ritz pairs
+    (sigma_i, x_i, y_i) stay, B becomes diag(sigma) with the couplings
+    rho_i = beta u_{m,i} in the next column, and the bidiagonalization goes
+    on from r / beta.  Operator i's rows of P and Q are row i of (w, n)
+    blocks, so each step is one product with a stacked matrix and one with
+    its adjoint.  B is kept dense as (w, m, m): one batched SVD gives every
+    row's top triplet and its residual ||A* y - sigma x|| = beta |u_{j,1}|.
+    A row stops once that residual is at most LANCZOS_RTOL sigma, and leaves
+    the block; each restart deepens the basis to what the rows still
+    running fit into _LOCKSTEP_BYTES.  The SVD is taken at each restart,
+    and in between once the steps since the last one have touched j^2
+    vector entries, so that it never costs much more than the steps.
+
+    Returns (value, unit vector, converged) per operator: the norm ratio
+    ||A x|| at the unit top Ritz vector x, a certified lower bound, and
+    whether the residual test passed within LANCZOS_MAX_PRODUCTS products.
+    """
+    L, n = len(operators), operators[0].n
     dtype = np.float64 if real else np.complex128
-    cast = np.real if real else np.asarray
-    operator = LinearOperator(
-        (n, n),
-        matvec=lambda x: cast(A.matvec(np.ravel(x))),
-        rmatvec=lambda y: cast(A.rmatvec(np.ravel(y))),
-        dtype=dtype,
-    )
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if not real:
-        v0 = v0 + 1j * rng.standard_normal(n)
-    try:
-        _, s, vh = svds(operator, k=1, tol=0, v0=v0)
-        value, vector, converged = float(s[0]), vh[0].conj(), True
-    except ArpackNoConvergence as exc:
-        # report the norm ratio at the last iterate, a certified lower bound
-        found = np.asarray(exc.eigenvectors)
-        vector = found[:, -1] if found.ndim == 2 and found.shape[1] else v0
-        vector = vector / np.linalg.norm(vector)
-        value, converged = float(np.linalg.norm(A.matvec(vector))), False
-    return NormEstimate(value, upper, "lanczos", False, converged, vector)
+    m = _lanczos_depth(L, n)
+    P, Q, B = np.empty((L, m + 1, n), dtype), np.empty((L, m, n), dtype), np.zeros((L, m, m))
+    for i, (A, seed) in enumerate(zip(operators, seeds)):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        if not A.is_real():
+            x = x + 1j * rng.standard_normal(n)
+        P[i, 0] = x / np.linalg.norm(x)
+    A = _real_stack(operators, real)
+    owner = np.arange(L)  # the operator of each block row
+    results = [None] * L
+    first = checked = products = 0
+    while True:
+        for j in range(first, m):
+            q = A.matvec(P[:, j])
+            # A p_j - sum_i B[i, j] q_i: only q_{j-1}, or after a restart every kept q_i
+            lo = j - 1 if j > first else 0
+            q -= np.matmul(B[:, None, lo:j, j], Q[:, lo:j])[:, 0]
+            _orthogonalize(Q[:, :j], q)
+            alpha = np.linalg.norm(q, axis=-1)
+            Q[:, j] = q * (1.0 / np.where(alpha > 0, alpha, 1.0))[:, None]
+            B[:, j, j] = alpha
+            r = A.rmatvec(Q[:, j])
+            r -= alpha[:, None] * P[:, j]
+            _orthogonalize(P[:, : j + 1], r)
+            beta = np.linalg.norm(r, axis=-1)
+            products += 1
+            capped = products >= LANCZOS_MAX_PRODUCTS
+            if j + 1 == m or capped or not beta.all() or (products - checked) * n >= j * j:
+                checked = products
+                U, s, Vh = np.linalg.svd(B[:, : j + 1, : j + 1])
+                converged = beta * np.abs(U[:, j, 0]) <= LANCZOS_RTOL * s[:, 0]
+                done = converged | capped
+                if done.any():
+                    x = np.matmul(Vh[:, :1], P[:, : j + 1])[done, 0]  # no copy of P[done]
+                    x *= (1.0 / np.linalg.norm(x, axis=-1))[:, None]
+                    ops = [operators[i] for i in owner[done]]
+                    values = np.linalg.norm(_real_stack(ops, real).matvec(x), axis=-1)
+                    for i, v, xi, c in zip(owner[done], values.tolist(), x, converged[done]):
+                        results[i] = (v, xi, bool(c))
+                    run = ~done
+                    owner = owner[run]
+                    if not len(owner):
+                        return results
+                    P, Q, B, r, beta, U, s, Vh = (a[run] for a in (P, Q, B, r, beta, U, s, Vh))
+                    A = _real_stack([operators[i] for i in owner], real)
+            if j + 1 < m:
+                B[:, j, j + 1] = beta
+                P[:, j + 1] = r * (1.0 / beta)[:, None]
+        # thick restart at j = m - 1: the top Ritz pairs, then r / beta coupled to them
+        w, first = len(owner), m // 2
+        kept = np.arange(first)
+        P[:, :first] = np.matmul(Vh[:, :first], P[:, :m])
+        Q[:, :first] = np.matmul(U[:, :, :first].swapaxes(-1, -2), Q[:, :m])
+        P[:, first] = r * (1.0 / beta)[:, None]
+        B[:] = 0.0
+        B[:, kept, kept] = s[:, :first]
+        B[:, kept, first] = beta[:, None] * U[:, m - 1, :first]
+        depth = _lanczos_depth(w, n)
+        if depth > m:  # rows have left: the rest get a deeper basis
+            P = np.concatenate((P[:, : first + 1], np.empty((w, depth - first, n), dtype)), axis=1)
+            Q = np.concatenate((Q[:, :first], np.empty((w, depth - first, n), dtype)), axis=1)
+            B = np.pad(B, ((0, 0), (0, depth - m), (0, depth - m)))
+            m = depth
+
+
+def _l2_reports(operators, seeds, extra_starts, uppers):
+    """l^2 reports: a batched dense SVD up to SVD_CUTOFF, lockstep Lanczos above.
+
+    An operator's ratio ||A e|| / ||e|| at each of its ``extra_starts``
+    is a certified lower bound too, and is reported where it is larger.
+    """
+    real = all(A.is_real() for A in operators)
+    small = operators[0].n <= SVD_CUTOFF
+    if small:
+        dense = np.stack([A.dense() for A in operators])
+        values = np.linalg.svd(dense.real if real else dense, compute_uv=False)[:, 0]
+        results = [(v, None, True) for v in values.tolist()]
+    else:
+        results = _lockstep_lanczos(operators, seeds, real)
+    reports = []
+    for A, extra, upper, (value, vector, converged) in zip(operators, extra_starts, uppers, results):
+        for e in extra:
+            e = e / np.linalg.norm(e)
+            ratio = float(np.linalg.norm(A.matvec(e)))
+            if ratio > value:
+                value, vector = ratio, e
+        if small:
+            reports.append(NormEstimate(value, value, "svd", True, True, vector))
+        else:
+            reports.append(NormEstimate(value, upper, "lanczos", False, converged, vector))
+    return reports
 
 
 def _ascent_starts(space, n, seed, extra_starts):
@@ -319,7 +432,7 @@ def _norm_reports(space, operators, seeds, extra_starts):
                 for r, e in zip(reports, shifts)]
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p))).tolist()
     if kind == "lp" and p == 2.0:
-        return [_l2_estimate(A, s, u) for A, s, u in zip(operators, seeds, uppers)]
+        return _l2_reports(operators, seeds, extra_starts, uppers)
     triples = zip(operators, seeds, extra_starts)
     starts = [_ascent_starts(space, A.n, seed, extra) for A, seed, extra in triples]
     ascents = _lockstep_ascent(space, operators, starts)
@@ -423,8 +536,10 @@ def _sweep_task(space, n, chunk):
     """Records of one chunk of (lambda, seed, in_disk) tasks at size n.
 
     One :func:`_norm_reports` call gives every operator norm of the chunk,
-    and a second every regular norm, whose ascent also starts from the
-    escort |x*| of its operator's best vector; that pins reg >= op.
+    and a second every regular norm, which also tries the escort |x*| of
+    its operator's best vector.  On these lattices ||R|| <= || |R| ||, so
+    the operator norm's lower bound is one of the regular norm too, and the
+    record keeps the larger: reg >= op even where the two agree to rounding.
     """
     resolvents = [resolvent_operator(lam, n) for lam, _, _ in chunk]
     seeds = [seed for _, seed, _ in chunk]
@@ -437,7 +552,7 @@ def _sweep_task(space, n, chunk):
             n=n,
             gamma=gamma_of(lam),
             op_norm_est=op.value,
-            reg_norm_est=reg.value,
+            reg_norm_est=max(reg.value, op.value),
             in_disk=in_disk,
         )
         for (lam, _, in_disk), op, reg in zip(chunk, ops, regs)
@@ -459,7 +574,7 @@ def sweep(space, grid, sizes, seed=0):
     (i, j), the i-th retained lambda at the j-th size, seeds its restarts
     with ``seed + 1000003 i + j``.  The tasks of one size run in
     chunks of consecutive lambdas whose (k, L, n) block of iterates fits
-    _LOCKSTEP_BYTES; the ascents of a chunk run in lockstep.  Chunks
+    _LOCKSTEP_BYTES; the ascents or Lanczos runs of a chunk go in lockstep.  Chunks
     run in grid order on the calling thread, and the records come back in
     row-major grid order, sizes ascending within each lambda.
     """

@@ -133,14 +133,10 @@ class TestOperatorNorms:
         assert ratio == pytest.approx(report.value, rel=1e-12)
 
     def test_lanczos_without_convergence_is_reported(self, rng, monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence
-
         import ceslab.spectra
 
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((48, 0)))
-
-        monkeypatch.setattr(ceslab.spectra, "svds", fail)
+        # three products leave the residual far above its tolerance
+        monkeypatch.setattr(ceslab.spectra, "LANCZOS_MAX_PRODUCTS", 3)
         monkeypatch.setattr(ceslab.spectra, "SVD_CUTOFF", 16)
         A = random_triangular(rng, 48)
         report = operator_norm_report(lp(2), A)
@@ -360,6 +356,67 @@ class TestLockstep:
             for A, r in zip(operators, reports):
                 ratio = norm(space, A.matvec(r.best_vector)) / norm(space, r.best_vector)
                 assert r.value == pytest.approx(ratio, rel=1e-12)
+
+
+class TestLockstepLanczos:
+    """A chunk of l^2 operators gives each its own run's value and the SVD's."""
+
+    N = 256  # above SVD_CUTOFF
+
+    @staticmethod
+    def check_chunk(operators):
+        seeds = list(range(7, 7 + len(operators)))
+        block = _norm_reports(lp(2), operators, seeds, [()] * len(operators))
+        for A, seed, report in zip(operators, seeds, block):
+            single = _norm_reports(lp(2), [A], [seed], [()])[0]
+            exact = svdvals(A.dense())[0]
+            assert report.method == "lanczos" and report.converged and single.converged
+            assert report.value == pytest.approx(single.value, rel=1e-13, abs=0)
+            assert abs(report.value - exact) <= 8 * A.n * EPS * exact
+            assert np.linalg.norm(report.best_vector) == pytest.approx(1.0, rel=1e-14)
+
+    def test_real_complex_and_multi_block_operators(self, rng):
+        # alpha = Re(1/lambda) = 200 has norms near 1e120; -200 spans two scale blocks
+        circle = [resolvent_operator(1 / complex(a, 0.5), self.N) for a in (200, -200)]
+        assert [len(R.starts) for R in circle] == [1, 2]
+        operators = [
+            random_triangular(rng, self.N, real=real, blocks=blocks)
+            for real in (True, False)
+            for blocks in (1, 3)
+        ]
+        self.check_chunk(operators + circle)
+
+    def test_real_chunk(self, rng):
+        operators = [random_triangular(rng, self.N, real=True, blocks=b) for b in (1, 2)]
+        operators += [resolvent_operator(lam, self.N).modulus() for lam in (-1, 0.4 + 0.3j)]
+        assert all(A.is_real() for A in operators)
+        self.check_chunk(operators)
+
+    def test_near_degenerate_lambda_among_easy_ones(self):
+        # sigma_1 / sigma_2 = 1.0008 at lambda = -0.49+0.06i: that row runs on
+        # through restarts long after the others have left the block
+        lams = [2 + 1j, -0.49 + 0.06j, 0.4 + 0.3j, 1.8 + 0.2j, -0.3 + 0.8j]
+        self.check_chunk([resolvent_operator(lam, self.N) for lam in lams])
+
+    def test_restarts(self, monkeypatch):
+        import ceslab.spectra
+
+        # a budget below one vector: every basis is 20 deep, and the rows
+        # that need more steps restart
+        monkeypatch.setattr(ceslab.spectra, "_LOCKSTEP_BYTES", 1)
+        depths = []
+        depth = ceslab.spectra._lanczos_depth
+
+        def spy(w, n):
+            depths.append(depth(w, n))
+            return depths[-1]
+
+        monkeypatch.setattr(ceslab.spectra, "_lanczos_depth", spy)
+        lams = [-0.49 + 0.06j, -0.3 + 0.8j, 2 + 1j]
+        self.check_chunk([resolvent_operator(lam, self.N) for lam in lams])
+        # one depth per run (the chunk and each single run), one per restart
+        restarts = len(depths) - (1 + len(lams))
+        assert set(depths) == {20} and restarts > 0
 
 
 class TestGridSpec:
