@@ -244,15 +244,23 @@ def _comparison_report(kind, lam, alpha, n):
     if n < 2:
         raise UnsupportedParameterError(f"the {kind} test needs n >= 2, got {n}")
     half = max(2, n // 2)
-    sums = _row_sums(alpha, n)
+    # m^-alpha overflows at large negative alpha: such a horizon is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "rowsum_46":
+            values = _row_sums(alpha, n)
+        else:
+            m = np.arange(1, half + 1, dtype=np.float64)
+            values = half ** (alpha - 1.0) * m**-alpha - n ** (alpha - 1.0) * m**-alpha
+    if not np.isfinite(values).all():
+        raise UnsupportedParameterError(
+            f"the {kind} test up to n = {n} leaves the double range at alpha = {alpha:.17g}"
+        )
     if kind == "rowsum_46":
-        sup_half, sup_full = float(sums[:half].max()), float(sums.max())
+        sup_half, sup_full = float(values[:half].max()), float(values.max())
         margin = 0.05 * sup_full - (sup_full - sup_half)
-        return _report(kind, lam, n, margin, (int(np.argmax(sums)) + 1, 1))
-    m = np.arange(1, half + 1, dtype=np.float64)
-    margins = half ** (alpha - 1.0) * m**-alpha - n ** (alpha - 1.0) * m**-alpha
-    k = int(np.argmin(margins))
-    return _report(kind, lam, n, float(margins[k]), (n, k + 1))
+        return _report(kind, lam, n, margin, (int(np.argmax(values)) + 1, 1))
+    k = int(np.argmin(values))
+    return _report(kind, lam, n, float(values[k]), (n, k + 1))
 
 
 def comparison_matrix_report(kind, alpha, n):

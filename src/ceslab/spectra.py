@@ -17,11 +17,12 @@ bidiagonalization of the whole chunk, run until each Ritz residual is at
 the rounding level.  Both use numpy alone.
 
 There is one norm-report path, :func:`_norm_reports`, for one operator or
-a sweep chunk of L of one size: it stacks them into one matrix with (L, n)
-generators (:func:`~ceslab.triangular.stack`), takes the row sums and l^p
-upper bounds from the stack, and runs Lanczos on one (L, n) block per
-step, or the block power method :func:`_lockstep_ascent` on one (k, L, n)
-block of iterates.
+a sweep chunk of L of one size, always given as one matrix with (L, n)
+generators (:func:`~ceslab.triangular.stack`), stacked once per chunk.  It
+takes the row sums and l^p upper bounds from the stack, and runs Lanczos
+on one (L, n) block per step, or the block power method
+:func:`_lockstep_ascent` on one (k, L, n) block of iterates; both drop
+finished operators by indexing the stack.
 :mod:`ceslab.spaces` owns each norm's calculus (the norms of a vector or
 a stack, the ascent's norming functionals, dual maps and vertex starts), so
 the ascent never tests the space.  The disk's radius comes from the space's
@@ -37,7 +38,7 @@ time, so it needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,14 +148,6 @@ class NormEstimate:
     best_vector: np.ndarray | None = None
 
 
-def _real_stack(operators, real):
-    """:func:`~ceslab.triangular.stack` of ``operators``, with real generators if ``real``."""
-    A = stack(operators)
-    if real:
-        A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
-    return A
-
-
 def _orthogonalize(basis, x):
     """Subtract from each row of x (w, n) its projection on the orthonormal rows
     of its basis (w, j, n), in place; only x is conjugated."""
@@ -168,8 +161,8 @@ def _lanczos_depth(w, n):
     return min(n, max(20, _LOCKSTEP_BYTES // (32 * w * n)))
 
 
-def _lockstep_lanczos(operators, seeds, real):
-    """Largest singular values of L operators of one size, in lockstep.
+def _lockstep_lanczos(A, seeds):
+    """Largest singular values of the L matrices of the stack A, in lockstep.
 
     Golub-Kahan-Lanczos bidiagonalization A P = Q B, A* Q = P B^T + r e^T,
     with full reorthogonalization, thick-restarted (Baglama and Reichel,
@@ -177,30 +170,29 @@ def _lockstep_lanczos(operators, seeds, real):
     (sigma_i, x_i, y_i) stay, B becomes diag(sigma) with the couplings
     rho_i = beta u_{m,i} in the next column, and the bidiagonalization goes
     on from r / beta.  Operator i's rows of P and Q are row i of (w, n)
-    blocks, so each step is one product with a stacked matrix and one with
-    its adjoint.  B is kept dense as (w, m, m): one batched SVD gives every
+    blocks, so each step is one product with the stack and one with its
+    adjoint.  B is kept dense as (w, m, m): one batched SVD gives every
     row's top triplet and its residual ||A* y - sigma x|| = beta |u_{j,1}|.
     A row stops once that residual is at most LANCZOS_RTOL sigma, and leaves
-    the block; each restart deepens the basis to what the rows still
-    running fit into _LOCKSTEP_BYTES.  The SVD is taken at each restart,
-    and in between once the steps since the last one have touched j^2
-    vector entries, so that it never costs much more than the steps.
+    the block and the stack; each restart deepens the basis to what the rows
+    still running fit into _LOCKSTEP_BYTES.  The SVD is taken at each
+    restart, and in between once the steps since the last one have touched
+    j^2 vector entries, so that it never costs much more than the steps.
 
     Returns (value, unit vector, converged) per operator: the norm ratio
     ||A x|| at the unit top Ritz vector x, a certified lower bound, and
     whether the residual test passed within LANCZOS_MAX_PRODUCTS products.
     """
-    L, n = len(operators), operators[0].n
-    dtype = np.float64 if real else np.complex128
+    L, n = len(seeds), A.n
     m = _lanczos_depth(L, n)
+    dtype = A.d.dtype
     P, Q, B = np.empty((L, m + 1, n), dtype), np.empty((L, m, n), dtype), np.zeros((L, m, m))
-    for i, (A, seed) in enumerate(zip(operators, seeds)):
+    for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
-        if not A.is_real():
+        if not A[i].is_real():
             x = x + 1j * rng.standard_normal(n)
         P[i, 0] = x / np.linalg.norm(x)
-    A = _real_stack(operators, real)
     owner = np.arange(L)  # the operator of each block row
     results = [None] * L
     first = checked = products = 0
@@ -228,8 +220,7 @@ def _lockstep_lanczos(operators, seeds, real):
                 if done.any():
                     x = np.matmul(Vh[:, :1], P[:, : j + 1])[done, 0]  # no copy of P[done]
                     x *= (1.0 / np.linalg.norm(x, axis=-1))[:, None]
-                    ops = [operators[i] for i in owner[done]]
-                    values = np.linalg.norm(_real_stack(ops, real).matvec(x), axis=-1)
+                    values = np.linalg.norm(A[done].matvec(x), axis=-1)
                     for i, v, xi, c in zip(owner[done], values.tolist(), x, converged[done]):
                         results[i] = (v, xi, bool(c))
                     run = ~done
@@ -237,7 +228,7 @@ def _lockstep_lanczos(operators, seeds, real):
                     if not len(owner):
                         return results
                     P, Q, B, r, beta, U, s, Vh = (a[run] for a in (P, Q, B, r, beta, U, s, Vh))
-                    A = _real_stack([operators[i] for i in owner], real)
+                    A = A[run]
             if j + 1 < m:
                 B[:, j, j + 1] = beta
                 P[:, j + 1] = r * (1.0 / beta)[:, None]
@@ -258,31 +249,37 @@ def _lockstep_lanczos(operators, seeds, real):
             m = depth
 
 
-def _l2_reports(operators, seeds, extra_starts, uppers):
-    """l^2 reports: a batched dense SVD up to SVD_CUTOFF, lockstep Lanczos above.
+def _l2_reports(A, seeds, extra_starts, uppers):
+    """l^2 reports of the stack A: dense SVDs up to SVD_CUTOFF, lockstep Lanczos above.
 
-    An operator's ratio ||A e|| / ||e|| at each of its ``extra_starts``
-    is a certified lower bound too, and is reported where it is larger.
+    A real stack runs in real arithmetic, and the SVDs in slices that fit
+    _LOCKSTEP_BYTES.  A matrix's ratio ||A e|| / ||e|| at each of its
+    ``extra_starts`` is a certified lower bound too, reported where larger.
     """
-    real = all(A.is_real() for A in operators)
-    small = operators[0].n <= SVD_CUTOFF
+    L, n = len(seeds), A.n
+    if A.is_real():
+        A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
+    small = n <= SVD_CUTOFF
     if small:
-        dense = np.stack([A.dense() for A in operators])
-        values = np.linalg.svd(dense.real if real else dense, compute_uv=False)[:, 0]
-        results = [(v, None, True) for v in values.tolist()]
+        width = max(1, _LOCKSTEP_BYTES // (16 * n * n))
+        results = []
+        for lo in range(0, L, width):
+            dense = np.stack([A[i].dense() for i in range(lo, min(L, lo + width))])
+            values = np.linalg.svd(dense, compute_uv=False)[:, 0]
+            results += [(v, None, True) for v in values.tolist()]
     else:
-        results = _lockstep_lanczos(operators, seeds, real)
+        results = _lockstep_lanczos(A, seeds)
     reports = []
-    for A, extra, upper, (value, vector, converged) in zip(operators, extra_starts, uppers, results):
-        for e in extra:
+    for i, (value, vector, converged) in enumerate(results):
+        for e in extra_starts[i]:
             e = e / np.linalg.norm(e)
-            ratio = float(np.linalg.norm(A.matvec(e)))
+            ratio = float(np.linalg.norm(A[i].matvec(e)))
             if ratio > value:
                 value, vector = ratio, e
         if small:
             reports.append(NormEstimate(value, value, "svd", True, True, vector))
         else:
-            reports.append(NormEstimate(value, upper, "lanczos", False, converged, vector))
+            reports.append(NormEstimate(value, uppers[i], "lanczos", False, converged, vector))
     return reports
 
 
@@ -302,18 +299,17 @@ def _ascent_starts(space, n, seed, extra_starts):
     return np.array(starts)
 
 
-def _lockstep_ascent(space, operators, starts):
-    """Dual-exponent power ascents of L operators of one size, in lockstep.
+def _lockstep_ascent(space, A, starts):
+    """Dual-exponent power ascents of the L matrices of the stack A, in lockstep.
 
     ``starts[i]`` holds the (k_i, n) start vectors of operator i.  The
-    operators form one stacked matrix with (L, n) generators, and the
-    running iterates one (k, L, n) block, so that every product is one
+    running iterates form one (k, L, n) block, so that every product is one
     running sum over the whole block.  Each (start, operator) row runs the
     rule of a single ascent (Higham, Numer. Math. 62, 1992) and keeps its
     own best ratio: it runs while its ratio is finite and still rising by
     more than ASCENT_RTOL and its next iterate has a positive norm.  Stopped
     rows leave the block, and so does an operator once all its rows have
-    stopped; the stack is rebuilt from the operators still running.
+    stopped; the stack is indexed down to the operators still running.
 
     Every iterate is a unit vector, so each ratio is a certified lower
     bound.  Returns (value, best_vector, converged) per operator: the
@@ -321,9 +317,8 @@ def _lockstep_ascent(space, operators, starts):
     if no ratio was positive), and whether every row stopped within
     ASCENT_MAX_ITER products.
     """
-    L, n = len(operators), operators[0].n
+    L, n = len(starts), A.n
     k = max(len(s) for s in starts)
-    A = stack(operators)
     # real operators with real starts keep real iterates
     dtype = np.result_type(A.d, *starts)
     X = np.zeros((k, L, n), dtype=dtype)
@@ -375,7 +370,7 @@ def _lockstep_ascent(space, operators, starts):
                 live = np.arange(width)[:, None] < counts[keep]
                 if len(keep) < len(owner):
                     owner = owner[keep]
-                    A = stack([operators[i] for i in owner])
+                    A = A[keep]
     # each operator's largest ratio and the first row in start order reaching it
     best, best_x = best.reshape(L, k), best_x.reshape(L, k, n)
     top = np.arange(L), best.argmax(axis=1)
@@ -402,47 +397,44 @@ def _ces0_column_sup(A):
     return float(per_column[m_best]), spike
 
 
-def _norm_reports(space, operators, seeds, extra_starts):
-    """Norm reports of L operators of one size acting from ``space`` to itself.
+def _norm_reports(space, A, seeds, extra_starts):
+    """Norm reports of the L matrices of the stack A, acting from ``space`` to itself.
 
     ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
     and ``extra_starts[i]`` adds ascent starts of its own.  The max-norm
     row sums and the l^p upper bound colmax^(1/p) rowmax^(1/p') come from
-    one stack of all L operators.  ces(0) reports take the exact best
-    spike start when it beats the ascent.  Where B^q overflows, with B = m 2^e
-    the largest absolute row or column sum and q the largest finite one of
-    p, p' and 2, the report is that of A 2^-e (exact), scaled back by 2^e.
+    the stack.  ces(0) reports take the exact best spike start when it
+    beats the ascent.  Where B^q overflows, with B = m 2^e the largest
+    absolute row or column sum and q the largest finite one of p, p' and 2,
+    the matrix is scaled by 2^-e (exact) and its report back by 2^e.
     """
     kind = space.kind
     for seed in seeds:
         if seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {seed}")
-    stacked = stack(operators)
-    rows = stacked.abs_row_sums().max(axis=-1)
+    rows = A.abs_row_sums().max(axis=-1)
     if kind in ("linf", "c0"):
         return [NormEstimate(v, v, "rowsum", True, True) for v in rows.tolist()]
-    cols, p = stacked.abs_col_sums().max(axis=-1), space.exponent
+    cols, p = A.abs_col_sums().max(axis=-1), space.exponent
     big, q = np.maximum(rows, cols), max(x for x in (p, dual_exponent(p), 2.0) if x < np.inf)
-    shifts = np.where(big > np.finfo(float).max ** (1 / q), np.frexp(big)[1], 0).tolist()
-    if any(shifts):  # only d and u scale
-        scaled = [LowerTriangularMatrix(A.d * 2.0**-e, A.u * 2.0**-e, A.v, A.starts, A.ratios)
-                  for A, e in zip(operators, shifts)]
-        reports = _norm_reports(space, scaled, seeds, extra_starts)
-        return [replace(r, value=np.ldexp(r.value, e), upper=r.upper and np.ldexp(r.upper, e))
-                for r, e in zip(reports, shifts)]
+    shifts = np.where(big > np.finfo(float).max ** (1 / q), np.frexp(big)[1], 0)
+    scale = np.ldexp(1.0, -shifts)[:, None]  # of d and u; 2^0 = 1 where B^q is finite
+    A = LowerTriangularMatrix(A.d * scale, A.u * scale, A.v, A.starts, A.ratios)
+    rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p))).tolist()
     if kind == "lp" and p == 2.0:
-        return _l2_reports(operators, seeds, extra_starts, uppers)
-    triples = zip(operators, seeds, extra_starts)
-    starts = [_ascent_starts(space, A.n, seed, extra) for A, seed, extra in triples]
-    ascents = _lockstep_ascent(space, operators, starts)
-    reports = []
-    for A, upper, (value, vector, converged) in zip(operators, uppers, ascents):
-        spike_value, spike = _ces0_column_sup(A) if kind == "ces0" else (0.0, None)
-        if spike_value > value:
-            value, vector = spike_value, spike
-        upper = upper if kind == "lp" else None
-        reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
+        reports = _l2_reports(A, seeds, extra_starts, uppers)
+    else:
+        starts = [_ascent_starts(space, A.n, s, extra) for s, extra in zip(seeds, extra_starts)]
+        reports = []
+        for i, (value, vector, converged) in enumerate(_lockstep_ascent(space, A, starts)):
+            spike_value, spike = _ces0_column_sup(A[i]) if kind == "ces0" else (0.0, None)
+            if spike_value > value:
+                value, vector = spike_value, spike
+            upper = uppers[i] if kind == "lp" else None
+            reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
+    for r, e in zip(reports, shifts.tolist()):
+        r.value, r.upper = float(np.ldexp(r.value, e)), r.upper and float(np.ldexp(r.upper, e))
     return reports
 
 
@@ -455,7 +447,7 @@ def operator_norm_report(space, A, seed=0):
     norm of A is the norm of ``A.modulus()``, the least positive operator
     dominating A on these coordinatewise lattices.
     """
-    return _norm_reports(space, [A], [seed], [()])[0]
+    return _norm_reports(space, stack([A]), [seed], [()])[0]
 
 
 @dataclass(frozen=True)
@@ -541,11 +533,11 @@ def _sweep_task(space, n, chunk):
     the operator norm's lower bound is one of the regular norm too, and the
     record keeps the larger: reg >= op even where the two agree to rounding.
     """
-    resolvents = [resolvent_operator(lam, n) for lam, _, _ in chunk]
+    R = stack([resolvent_operator(lam, n) for lam, _, _ in chunk])
     seeds = [seed for _, seed, _ in chunk]
-    ops = _norm_reports(space, resolvents, seeds, [()] * len(chunk))
+    ops = _norm_reports(space, R, seeds, [()] * len(chunk))
     escorts = [() if op.best_vector is None else (np.abs(op.best_vector),) for op in ops]
-    regs = _norm_reports(space, [R.modulus() for R in resolvents], seeds, escorts)
+    regs = _norm_reports(space, R.modulus(), seeds, escorts)
     return [
         SweepRecord(
             lam=lam,

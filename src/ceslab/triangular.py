@@ -98,6 +98,15 @@ class LowerTriangularMatrix:
         self.starts = tuple(starts)
         self.ratios = tuple(ratios)
 
+    def __getitem__(self, rows):
+        """Matrix ``rows`` of a stack (an int), or the sub-stack at an index array or mask.
+
+        The block starts stay: a matrix has ratio 1.0 at a start foreign to
+        it, so its products are bit for bit those of a fresh :func:`stack`.
+        """
+        ratios = [r[rows] for r in self.ratios]
+        return LowerTriangularMatrix(self.d[rows], self.u[rows], self.v[rows], self.starts, ratios)
+
     def matvec(self, x):
         """The product A x along the last axis of ``x``, broadcast over the rest."""
         y = self.u * _carried_sums(self.v * x, self.starts, self.ratios)

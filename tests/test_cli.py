@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -149,6 +150,20 @@ class TestBounds:
         assert "Infinity" not in captured.out
         assert '"holds": true' not in captured.out
         assert "alpha = 499.99" in captured.err
+
+    @pytest.mark.parametrize("where", ["--alpha=-120", "--lambda=-0.0025"])
+    @pytest.mark.parametrize("kind", ["rowsum_46", "collimit_49"])
+    def test_large_negative_alpha_is_finite_or_refused(self, kind, where, capsys):
+        # m^-alpha overflows up to n = 1000; it used to print "worst_margin": NaN and exit 1
+        code = main(["bounds", f"--kind={kind}", where, "--n=1000"])
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert "NaN" not in output and "Traceback" not in output
+        if code == 2:
+            assert captured.err.count("error:") == 1
+            assert "alpha = -" in captured.err and "n = 1000" in captured.err
+        else:
+            assert code == 0 and math.isfinite(json.loads(captured.out)["worst_margin"])
 
 
 SWEEP_FLAGS = [

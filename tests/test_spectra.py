@@ -25,6 +25,7 @@ from ceslab import (
     operator_norm_report,
     resolvent_operator,
     spectrum_disk,
+    stack,
     sweep,
 )
 from ceslab.spectra import (
@@ -111,7 +112,7 @@ class TestOperatorNorms:
         # for p = 2 the ascent can be cross-checked against the SVD oracle
         C = cesaro_matrix(6)
         oracle = svdvals(C.dense())[0]
-        est = _lockstep_ascent(lp(2), [C], [_ascent_starts(lp(2), 6, 0, ())])[0][0]
+        est = _lockstep_ascent(lp(2), stack([C]), [_ascent_starts(lp(2), 6, 0, ())])[0][0]
         assert est == pytest.approx(oracle, rel=1e-8)
 
     def test_ces0_norm_of_averaging_matrix(self):
@@ -187,10 +188,29 @@ class TestOperatorNorms:
     def test_ascent_never_records_an_overflowed_ratio(self):
         S = self._scaled(resolvent_operator(0.7 + 0.9j, 64), 1e307)
         starts = [_ascent_starts(ces0(), 64, 0, ())]
-        value, vector, _ = _lockstep_ascent(ces0(), [S], starts)[0]
+        value, vector, _ = _lockstep_ascent(ces0(), stack([S]), starts)[0]
         assert np.isfinite(value)
         ratio = norm(ces0(), S.matvec(vector)) / norm(ces0(), vector)
         assert value == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "space, n", [(lp(2), 48), (lp(2), 256), (lp(3), 48), (ces0(), 48)], ids=str
+    )
+    def test_overflowing_operator_in_a_chunk_of_ordinary_ones(self, space, n):
+        # 2^900 R1 is scaled for the norm; R2 and R3 in its chunk must not be
+        R1, R2, R3 = (resolvent_operator(lam, n) for lam in (0.7 + 0.9j, 0.45 + 0.5j, 2 + 1j))
+        big = self._scaled(R1, 2.0**900)
+        block = _norm_reports(space, stack([big, R2, R3]), [1, 2, 3], [()] * 3)
+        alone = _norm_reports(space, stack([big]), [1], [()])[0]
+        assert (block[0].value, block[0].upper) == (alone.value, alone.upper)
+        own = _norm_reports(space, stack([R1]), [1], [()])[0]
+        assert block[0].value == pytest.approx(np.ldexp(own.value, 900), rel=1e-10)
+        if space.exponent == 2.0 or space.kind == "ces0":  # exact under a power of 2
+            assert block[0].value == np.ldexp(own.value, 900)
+        for R, seed, report in zip((R2, R3), (2, 3), block[1:]):
+            single = _norm_reports(space, stack([R]), [seed], [()])[0]
+            assert (report.value, report.upper) == (single.value, single.upper)
+            assert report.converged == single.converged
 
     def test_ces_norm_bounded_by_hardy_constant(self):
         value = operator_norm_report(ces(2), cesaro_matrix(64)).value
@@ -316,9 +336,9 @@ class TestLockstep:
             (np.abs(rng.standard_normal(n)),) if i % 2 == 0 else ()
             for i in range(len(operators))
         ]
-        block = _norm_reports(space, operators, seeds, extra)
+        block = _norm_reports(space, stack(operators), seeds, extra)
         single = [
-            _norm_reports(space, [A], [s], [e])[0] for A, s, e in zip(operators, seeds, extra)
+            _norm_reports(space, stack([A]), [s], [e])[0] for A, s, e in zip(operators, seeds, extra)
         ]
         assert {r.converged for r in single} == {True, False}
         for b, s in zip(block, single):
@@ -340,7 +360,7 @@ class TestLockstep:
             for A in operators[:2]
         ]
         starts = [_ascent_starts(space, 20, 0, ()) for _ in operators]
-        block = _lockstep_ascent(space, operators, starts)
+        block = _lockstep_ascent(space, stack(operators), starts)
         assert {converged for *_, converged in block} == {True, False}
         for A, s, (value, vector, converged) in zip(operators, starts, block):
             ref_value, ref_converged = sequential_ascent(space, A, s, max_iter)
@@ -352,7 +372,7 @@ class TestLockstep:
     def test_values_are_ratios_at_their_vectors(self, rng):
         operators = [random_triangular(rng, 16, blocks=2) for _ in range(4)]
         for space in (lp(3), ces(2), ces0()):
-            reports = _norm_reports(space, operators, range(4), [()] * 4)
+            reports = _norm_reports(space, stack(operators), range(4), [()] * 4)
             for A, r in zip(operators, reports):
                 ratio = norm(space, A.matvec(r.best_vector)) / norm(space, r.best_vector)
                 assert r.value == pytest.approx(ratio, rel=1e-12)
@@ -366,9 +386,9 @@ class TestLockstepLanczos:
     @staticmethod
     def check_chunk(operators):
         seeds = list(range(7, 7 + len(operators)))
-        block = _norm_reports(lp(2), operators, seeds, [()] * len(operators))
+        block = _norm_reports(lp(2), stack(operators), seeds, [()] * len(operators))
         for A, seed, report in zip(operators, seeds, block):
-            single = _norm_reports(lp(2), [A], [seed], [()])[0]
+            single = _norm_reports(lp(2), stack([A]), [seed], [()])[0]
             exact = svdvals(A.dense())[0]
             assert report.method == "lanczos" and report.converged and single.converged
             assert report.value == pytest.approx(single.value, rel=1e-13, abs=0)
@@ -516,7 +536,7 @@ class TestSweep:
                 R = resolvent_operator(lam, n)
                 op = operator_norm_report(space, R, seed)
                 escort = () if op.best_vector is None else (np.abs(op.best_vector),)
-                reg = _norm_reports(space, [R.modulus()], [seed], [escort])[0]
+                reg = _norm_reports(space, stack([R.modulus()]), [seed], [escort])[0]
                 expected.append((lam, n, op.value, reg.value))
         assert [(r.lam, r.n) for r in records] == [e[:2] for e in expected]
         for rec, (_, _, op, reg) in zip(records, expected):

@@ -95,6 +95,35 @@ class TestStack:
             np.testing.assert_array_equal(forward[:, i], A.matvec(X[:, i]))
             np.testing.assert_array_equal(adjoint[:, i], A.rmatvec(X[:, i]))
 
+    @pytest.mark.parametrize(
+        "rows", [np.array([4, 0, 2]), np.array([True, False, True, True, False])]
+    )
+    def test_indexing_gives_a_fresh_stack(self, rng, rows):
+        ms = self.matrices(rng, 31)
+        S = stack(ms)
+        chosen = np.arange(len(ms))[rows]
+        sub, fresh = S[rows], stack([ms[i] for i in chosen])
+        assert sub.starts == S.starts
+        shape = (4, len(chosen), 31)
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        forward, adjoint = sub.matvec(X), sub.rmatvec(X)
+        np.testing.assert_array_equal(forward, fresh.matvec(X))
+        np.testing.assert_array_equal(adjoint, fresh.rmatvec(X))
+        for j, i in enumerate(chosen):
+            np.testing.assert_array_equal(forward[:, j], ms[i].matvec(X[:, j]))
+            np.testing.assert_array_equal(adjoint[:, j], ms[i].rmatvec(X[:, j]))
+
+    def test_an_int_gives_one_matrix(self, rng):
+        ms = self.matrices(rng, 31)
+        for i, A in enumerate(ms):
+            one = stack(ms)[i]
+            assert one.d.shape == (31,)
+            X = rng.standard_normal((4, 31)) + 1j * rng.standard_normal((4, 31))
+            np.testing.assert_array_equal(one.matvec(X), A.matvec(X))
+            np.testing.assert_array_equal(one.rmatvec(X), A.rmatvec(X))
+            np.testing.assert_array_equal(one.matvec(X), stack([A]).matvec(X[:, None])[:, 0])
+            np.testing.assert_array_equal(one.dense(), A.dense())
+
     def test_modulus_is_the_stack_of_moduli(self, rng):
         ms = self.matrices(rng, 31)
         S, T = stack(ms).modulus(), stack([A.modulus() for A in ms])
