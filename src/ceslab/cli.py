@@ -151,16 +151,23 @@ def _cmd_bounds(args):
 
 
 def _read_config_file(path):
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().lower()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise InvalidConfigError(f"{path}: config file is not UTF-8 text") from None
+    values, fields = {}, dict(_SWEEP_FIELDS)
+    for line_no, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidConfigError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        if key not in fields:
+            raise InvalidConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 

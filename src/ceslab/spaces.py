@@ -76,9 +76,10 @@ class Space:
         return math.inf if self.p is None else self.p
 
     def label(self):
-        if self.p is not None:
-            return f"{self.kind}({self.p:g})"
-        return self.kind
+        if self.p is None:
+            return self.kind
+        text = f"{self.p:g}"  # 6 digits; where they lose p, repr's shortest exact text
+        return f"{self.kind}({text if float(text) == self.p else repr(self.p)})"
 
     def __str__(self):
         return self.label()

@@ -8,13 +8,11 @@ honest directional proxy: bounded inside the resolvent set, growing inside
 the open disk.
 
 Operator norms are exact where a closed form exists (max row sums on the
-max-norm spaces, singular values on l^2) and otherwise estimated by a
-dual-exponent ascent iteration that returns the best certified lower bound,
-paired with a row-sum-style upper bound where one is available.  Up to
-SVD_CUTOFF the l^2 norms of a chunk come from one batched dense SVD; above
-it from :func:`_lockstep_lanczos`, thick-restarted Lanczos
-bidiagonalization of the whole chunk, run until each Ritz residual is at
-the rounding level.  Both use numpy alone.
+max-norm spaces) and otherwise certified lower bounds, paired with a
+row-sum-style upper bound where one is available.  In l^2 they come from
+:func:`_lockstep_lanczos`, thick-restarted Lanczos bidiagonalization of a
+whole chunk, run until each Ritz residual is at the rounding level; in the
+other spaces from a dual-exponent ascent iteration.  Both use numpy alone.
 
 There is one norm-report path, :func:`_norm_reports`, for one operator or
 a sweep chunk of L of one size, always given as one matrix with (L, n)
@@ -30,11 +28,10 @@ exponent.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
-``abs_col_sums()``, ``is_real()`` and ``dense()``, which the generator
-form of :class:`~ceslab.triangular.LowerTriangularMatrix` provides at O(n)
-cost per product.  Only the dense SVD up to SVD_CUTOFF stores an operator
-densely.  The ces(0) column scan forms |A| _COLUMN_BLOCK columns at a
-time, so it needs O(n _COLUMN_BLOCK) memory instead of O(n^2).
+``abs_col_sums()`` and ``is_real()``, which the generator form of
+:class:`~ceslab.triangular.LowerTriangularMatrix` provides at O(n) cost
+per product.  No estimator stores an operator densely: the ces(0) column
+scan forms as many columns of |A| at a time as fit _LOCKSTEP_BYTES.
 """
 
 import logging
@@ -77,11 +74,6 @@ BOUNDED_RATIO = 1.1
 # A lambda grid may hold at most this many points (the README grid has 441).
 GRID_POINTS_MAX = 10**6
 
-# Up to this size l^2 norms use a full SVD of the dense matrix; above it
-# Lanczos bidiagonalization run to machine precision, which needs only
-# products with the matrix and its adjoint.
-SVD_CUTOFF = 64
-
 # A Lanczos row stops once its Ritz residual is at most LANCZOS_RTOL times
 # its top Ritz value, or after LANCZOS_MAX_PRODUCTS products with its
 # operator.
@@ -95,11 +87,9 @@ ASCENT_RESTARTS = 5
 ASCENT_RTOL = 1e-10
 ASCENT_MAX_ITER = 200
 
-# The ces(0) column scan forms this many columns of |A| at a time.
-_COLUMN_BLOCK = 256
-
 # A sweep runs the lambdas of one size in chunks whose (k, L, n) block of
-# complex iterates takes at most this many bytes.
+# complex iterates takes at most this many bytes; the Lanczos basis and the
+# ces(0) column scan size their blocks by it too.
 _LOCKSTEP_BYTES = 2 * 1024 * 1024
 
 
@@ -132,12 +122,12 @@ def in_spectrum(space, lam):
 class NormEstimate:
     """A norm estimate with its provenance.
 
-    ``value`` is exact for the closed-form paths and a certified lower
-    bound for the ascent paths (it is the norm ratio at an actual vector).
-    The Lanczos path reports the norm ratio at its unit top Ritz vector:
-    the largest singular value to rounding when the Ritz residual passed
-    its test, and with ``converged`` false when the product cap came
-    first.  ``upper`` is a row-sum-based upper bound when one is available.
+    ``value`` is exact for the max-norm row sums and otherwise a certified
+    lower bound, the norm ratio at an actual vector.  The Lanczos path (l^2)
+    reports the norm ratio at its unit top Ritz vector: the largest singular
+    value to rounding when the Ritz residual passed its test, and with
+    ``converged`` false when the product cap came first.  ``upper`` is a
+    row-sum-based upper bound when one is available.
     """
 
     value: float
@@ -249,40 +239,6 @@ def _lockstep_lanczos(A, seeds):
             m = depth
 
 
-def _l2_reports(A, seeds, extra_starts, uppers):
-    """l^2 reports of the stack A: dense SVDs up to SVD_CUTOFF, lockstep Lanczos above.
-
-    A real stack runs in real arithmetic, and the SVDs in slices that fit
-    _LOCKSTEP_BYTES.  A matrix's ratio ||A e|| / ||e|| at each of its
-    ``extra_starts`` is a certified lower bound too, reported where larger.
-    """
-    L, n = len(seeds), A.n
-    if A.is_real():
-        A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
-    small = n <= SVD_CUTOFF
-    if small:
-        width = max(1, _LOCKSTEP_BYTES // (16 * n * n))
-        results = []
-        for lo in range(0, L, width):
-            dense = np.stack([A[i].dense() for i in range(lo, min(L, lo + width))])
-            values = np.linalg.svd(dense, compute_uv=False)[:, 0]
-            results += [(v, None, True) for v in values.tolist()]
-    else:
-        results = _lockstep_lanczos(A, seeds)
-    reports = []
-    for i, (value, vector, converged) in enumerate(results):
-        for e in extra_starts[i]:
-            e = e / np.linalg.norm(e)
-            ratio = float(np.linalg.norm(A[i].matvec(e)))
-            if ratio > value:
-                value, vector = ratio, e
-        if small:
-            reports.append(NormEstimate(value, value, "svd", True, True, vector))
-        else:
-            reports.append(NormEstimate(value, uppers[i], "lanczos", False, converged, vector))
-    return reports
-
-
 def _ascent_starts(space, n, seed, extra_starts):
     """The start vectors of one ascent, as the rows of a (k, n) array.
 
@@ -386,8 +342,9 @@ def _ces0_column_sup(A):
     absA = A.modulus()
     rows = np.arange(1, A.n + 1)
     best_averages = np.empty(A.n)
-    for lo in range(0, A.n, _COLUMN_BLOCK):
-        hi = min(A.n, lo + _COLUMN_BLOCK)
+    width = max(1, _LOCKSTEP_BYTES // (8 * A.n))  # columns of |A| per block
+    for lo in range(0, A.n, width):
+        hi = min(A.n, lo + width)
         block = absA.matvec(np.eye(hi - lo, A.n, lo)).real  # row m is column m of |A|
         best_averages[lo:hi] = cesaro_averages(block).max(axis=-1)
     per_column = best_averages * rows
@@ -401,12 +358,14 @@ def _norm_reports(space, A, seeds, extra_starts):
     """Norm reports of the L matrices of the stack A, acting from ``space`` to itself.
 
     ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
-    and ``extra_starts[i]`` adds ascent starts of its own.  The max-norm
-    row sums and the l^p upper bound colmax^(1/p) rowmax^(1/p') come from
-    the stack.  ces(0) reports take the exact best spike start when it
-    beats the ascent.  Where B^q overflows, with B = m 2^e the largest
-    absolute row or column sum and q the largest finite one of p, p' and 2,
-    the matrix is scaled by 2^-e (exact) and its report back by 2^e.
+    and ``extra_starts[i]`` adds ascent starts of its own (l^2 runs Lanczos
+    and has none).  The max-norm row sums and the l^p upper bound
+    colmax^(1/p) rowmax^(1/p') come from the stack.  One loop turns the
+    Lanczos or ascent results into reports; ces(0) reports take the exact
+    best spike start when it beats the ascent.  Where B^q overflows, with
+    B = m 2^e the largest absolute row or column sum and q the largest
+    finite one of p, p' and 2, the matrix is scaled by 2^-e (exact) and its
+    report back by 2^e.
     """
     kind = space.kind
     for seed in seeds:
@@ -423,16 +382,19 @@ def _norm_reports(space, A, seeds, extra_starts):
     rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p))).tolist()
     if kind == "lp" and p == 2.0:
-        reports = _l2_reports(A, seeds, extra_starts, uppers)
+        if A.is_real():  # a real stack runs in real arithmetic
+            A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
+        results, method = _lockstep_lanczos(A, seeds), "lanczos"
     else:
         starts = [_ascent_starts(space, A.n, s, extra) for s, extra in zip(seeds, extra_starts)]
-        reports = []
-        for i, (value, vector, converged) in enumerate(_lockstep_ascent(space, A, starts)):
-            spike_value, spike = _ces0_column_sup(A[i]) if kind == "ces0" else (0.0, None)
-            if spike_value > value:
-                value, vector = spike_value, spike
-            upper = uppers[i] if kind == "lp" else None
-            reports.append(NormEstimate(value, upper, "ascent", False, converged, vector))
+        results, method = _lockstep_ascent(space, A, starts), "ascent"
+    reports = []
+    for i, (value, vector, converged) in enumerate(results):
+        spike_value, spike = _ces0_column_sup(A[i]) if kind == "ces0" else (0.0, None)
+        if spike_value > value:
+            value, vector = spike_value, spike
+        upper = uppers[i] if kind == "lp" else None
+        reports.append(NormEstimate(value, upper, method, False, converged, vector))
     for r, e in zip(reports, shifts.tolist()):
         r.value, r.upper = float(np.ldexp(r.value, e)), r.upper and float(np.ldexp(r.upper, e))
     return reports
@@ -441,8 +403,9 @@ def _norm_reports(space, A, seeds, extra_starts):
 def operator_norm_report(space, A, seed=0):
     """Operator norm of A acting from ``space`` to itself: the L = 1 report.
 
-    Exact for the max-norm spaces (largest absolute row sum) and for l^2
-    (largest singular value); elsewhere the best lower bound found by
+    Exact for the max-norm spaces (largest absolute row sum); in l^2 the
+    largest singular value to rounding, from Lanczos started at a vector
+    seeded by ``seed``; elsewhere the best lower bound found by
     dual-exponent ascent with restarts seeded by ``seed``.  The regular
     norm of A is the norm of ``A.modulus()``, the least positive operator
     dominating A on these coordinatewise lattices.
@@ -528,7 +491,7 @@ def _sweep_task(space, n, chunk):
     """Records of one chunk of (lambda, seed, in_disk) tasks at size n.
 
     One :func:`_norm_reports` call gives every operator norm of the chunk,
-    and a second every regular norm, which also tries the escort |x*| of
+    and a second every regular norm, whose ascent also starts at |x*|, x*
     its operator's best vector.  On these lattices ||R|| <= || |R| ||, so
     the operator norm's lower bound is one of the regular norm too, and the
     record keeps the larger: reg >= op even where the two agree to rounding.

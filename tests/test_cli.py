@@ -252,6 +252,23 @@ class TestSweep:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 1 + 3  # override: one size only
 
+    @pytest.mark.parametrize("line", ["sead = 7", "re-min = 2"])
+    def test_config_file_unknown_key_exits_one(self, tmp_path, capsys, line):
+        # the flags give every field, so an ignored key would sweep and exit 0
+        config = tmp_path / "sweep.cfg"
+        config.write_text("# flat config\nseed = 3\n" + line + "\n")
+        assert main(SWEEP_FLAGS + [f"--config={config}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert f"{config}:3: unknown key '{line.split()[0]}'" in captured.err
+
+    def test_config_file_not_utf8_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_bytes(b"space = lp:2\n# caf\xe9\n")
+        assert main(SWEEP_FLAGS + [f"--config={config}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and str(config) in captured.err
+
     def test_missing_field_exits_one(self, capsys):
         assert main(["sweep", "--space=lp:2"]) == 1
         assert "sweep needs" in capsys.readouterr().err

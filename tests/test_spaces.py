@@ -94,6 +94,18 @@ class TestSpaceFactories:
         assert space.exponent == exponent
         assert Space(space.kind, space.p) == space
 
+    @pytest.mark.parametrize("space, label", [
+        (lp(2), "lp(2)"), (lp(1.5), "lp(1.5)"), (ces(3), "ces(3)"), (lp(50), "lp(50)"),
+        (linf(), "linf"), (ces0(), "ces0"),
+        (lp(1.000001), "lp(1.000001)"), (lp(2.0000001), "lp(2.0000001)"),
+        (ces(1234567.0), "ces(1234567.0)"), (lp(1 / 3 + 2), "lp(2.3333333333333335)"),
+    ])
+    def test_label_keeps_the_exponent(self, space, label):
+        # two spaces never share a label: its exponent reads back as p
+        assert space.label() == str(space) == label
+        if space.p is not None:
+            assert float(label[label.index("(") + 1 : -1]) == space.p
+
 
 class TestNormValues:
     def test_euclidean(self):

@@ -119,12 +119,9 @@ class TestOperatorNorms:
         value = operator_norm_report(ces0(), cesaro_matrix(40)).value
         assert value == pytest.approx(1.0, rel=1e-12)
 
-    def test_lanczos_branch_matches_svd(self, rng, monkeypatch):
-        import ceslab.spectra
-
+    def test_lanczos_branch_matches_svd(self, rng):
         A = random_triangular(rng, 48, blocks=2)
-        exact = operator_norm_report(lp(2), A).value
-        monkeypatch.setattr(ceslab.spectra, "SVD_CUTOFF", 16)
+        exact = svdvals(A.dense())[0]
         report = operator_norm_report(lp(2), A)
         assert report.method == "lanczos"
         assert report.converged
@@ -138,7 +135,6 @@ class TestOperatorNorms:
 
         # three products leave the residual far above its tolerance
         monkeypatch.setattr(ceslab.spectra, "LANCZOS_MAX_PRODUCTS", 3)
-        monkeypatch.setattr(ceslab.spectra, "SVD_CUTOFF", 16)
         A = random_triangular(rng, 48)
         report = operator_norm_report(lp(2), A)
         assert report.method == "lanczos" and not report.converged
@@ -148,6 +144,17 @@ class TestOperatorNorms:
             np.linalg.norm(A.dense() @ report.best_vector), rel=1e-12
         )
         assert report.value <= svdvals(A.dense())[0] * (1 + 1e-12)
+
+    def test_ces0_column_scan_does_not_depend_on_its_blocks(self, rng, monkeypatch):
+        import ceslab.spectra
+
+        A = random_triangular(rng, 300, blocks=2)
+        scans = []
+        for budget in (1, 8 * 300 * 300):  # one column per block, one block
+            monkeypatch.setattr(ceslab.spectra, "_LOCKSTEP_BYTES", budget)
+            scans.append(ceslab.spectra._ces0_column_sup(A))
+        (value, spike), (one_value, one_spike) = scans
+        assert value == one_value and np.array_equal(spike, one_spike)
 
     def test_large_p_report_is_finite_and_below_its_upper_bound(self):
         # the plain 50-norm of R x overflows here; the estimate must not
@@ -381,7 +388,7 @@ class TestLockstep:
 class TestLockstepLanczos:
     """A chunk of l^2 operators gives each its own run's value and the SVD's."""
 
-    N = 256  # above SVD_CUTOFF
+    N = 256
 
     @staticmethod
     def check_chunk(operators):
@@ -394,6 +401,21 @@ class TestLockstepLanczos:
             assert report.value == pytest.approx(single.value, rel=1e-13, abs=0)
             assert abs(report.value - exact) <= 8 * A.n * EPS * exact
             assert np.linalg.norm(report.best_vector) == pytest.approx(1.0, rel=1e-14)
+        return block
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 21, 32, 64])
+    def test_sizes_the_dense_path_served(self, rng, n):
+        # small sizes, up to and around the basis depth floor of 20, in one chunk
+        operators = [
+            random_triangular(rng, n, real=real, blocks=min(blocks, n))
+            for real in (True, False)
+            for blocks in (1, 3)
+        ]
+        operators += [diag_operator(np.zeros(n)), diag_operator(rng.standard_normal(n))]
+        reports = self.check_chunk(operators)
+        assert reports[-2].value == 0.0
+        # both are rounded: on a diagonal, or at n = 1, they agree in exact arithmetic
+        assert all(r.value <= r.upper * (1 + 8 * n * EPS) for r in reports)
 
     def test_real_complex_and_multi_block_operators(self, rng):
         # alpha = Re(1/lambda) = 200 has norms near 1e120; -200 spans two scale blocks

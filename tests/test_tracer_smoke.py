@@ -54,6 +54,6 @@ def test_traced_commands_record_layer_spans():
     assert result["codes"] == [0, 0, 0, 0, 0]
     # the tracer names each spectra.operator_norm_report span by the method
     # of the report it returns
-    norm_spans = {f"spectra.norm.{m}" for m in ("rowsum", "svd", "lanczos", "ascent")}
+    norm_spans = {f"spectra.norm.{m}" for m in ("rowsum", "lanczos", "ascent")}
     spans = {"cli.main", "triangular.dense", "spectra.sweep_task", *norm_spans}
     assert spans <= set(result["names"])
