@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import UnsupportedParameterError, WrongRegimeError
 from .resolvent import (
+    _ROW_BLOCK_BYTES,
     _factor_sequence,
     _require_off_sigma_zero,
     alpha_of,
@@ -166,15 +167,29 @@ def _report(kind, lam, n, margin, witness):
 def _strict_lower_scan(lam, n, bound):
     """Worst margin of bound - |e_nm| over E's strict lower triangle.
 
-    ``bound(rows, cols)`` gets the 0-based indices as a column and a row
-    and returns the bounds as an array that broadcasts to (n, n).
+    ``bound(rows, cols)`` gets two slices of 0-based indices and returns
+    the bounds of that block as an array that broadcasts to its shape.
+    The triangle is scanned in blocks of whole rows of about
+    _ROW_BLOCK_BYTES.  As with one argmin over the whole triangle, the
+    first NaN margin wins, and otherwise the first of equal margins in
+    row-major order.
     """
     abs_e = comparison_operator(lam, n).modulus().dense()
     idx = np.arange(n)
-    margins = bound(idx[:, None], idx[None, :]) - abs_e
-    margins[~np.tri(n, k=-1, dtype=bool)] = np.inf
-    k = int(np.argmin(margins))  # row-major: the first of equal margins
-    return float(margins.flat[k]), (k // n + 1, k % n + 1)
+    rows = max(1, _ROW_BLOCK_BYTES // (abs_e.itemsize * n))
+    worst, witness = np.nan, None
+    for lo in range(1, n, rows):
+        hi = min(lo + rows, n)
+        block = np.s_[lo:hi], np.s_[: hi - 1]  # row i holds entries in columns < i
+        margins = bound(*block) - abs_e[block]
+        np.copyto(margins, np.inf, where=idx[: hi - 1] >= idx[lo:hi, None])
+        k = int(np.argmin(margins))  # the first NaN, if there is one
+        margin = float(margins.flat[k])
+        if witness is None or not margin >= worst:  # smaller, or NaN
+            worst, witness = margin, (lo + k // (hi - 1) + 1, k % (hi - 1) + 1)
+        if np.isnan(worst):
+            break
+    return worst, witness
 
 
 def check_entry_bounds(lam, n, kind):
@@ -206,14 +221,17 @@ def check_entry_bounds(lam, n, kind):
                 "Re(1/lambda) < 1",
             )
         beta = beta_estimate(lam, 2 * n)
-        bound = lambda r, c: beta * (r + 1.0) ** (alpha - 1.0) * (c + 1.0) ** (-alpha)
+        k = np.arange(1.0, n + 1.0)
+        row_factors, col_factors = beta * k ** (alpha - 1.0), k ** (-alpha)
+        bound = lambda r, c: row_factors[r, None] * col_factors[c]
     elif kind == "rho1_54":
         if alpha > 0.0:
             raise WrongRegimeError(
                 f"lambda has Re(1/lambda) = {alpha} > 0",
                 "rho1: lambda != 0 with Re(1/lambda) <= 0",
             )
-        bound = lambda r, c: 1.0 / (r + 1.0)
+        inverse = 1.0 / np.arange(1.0, n + 1.0)
+        bound = lambda r, c: inverse[r, None]
     else:
         if not 0.0 < alpha < 1.0:
             raise WrongRegimeError(
@@ -221,7 +239,7 @@ def check_entry_bounds(lam, n, kind):
                 "a circle point: 0 < Re(1/lambda) < 1",
             )
         ref = comparison_operator(1.0 / alpha, n).modulus().dense()
-        bound = lambda r, c: ref
+        bound = lambda r, c: ref[r, c]
     return _report(kind, lam, n, *_strict_lower_scan(lam, n, bound))
 
 

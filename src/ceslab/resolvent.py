@@ -31,7 +31,7 @@ from .errors import (
     ProductOverflowError,
     UnsupportedParameterError,
 )
-from .triangular import LowerTriangularMatrix, cesaro_matrix
+from .triangular import LowerTriangularMatrix
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -62,6 +62,10 @@ _LOG_MAX = float(np.log(np.finfo(np.float64).max))
 # Rounding slack, in units of machine epsilon, of |d_kk| <= 1/gamma: both
 # sides are built from the same difference 1/k - lambda.
 _DIAG_BOUND_ULPS = 8
+
+# Scans over a dense n x n matrix take it in blocks of whole rows of about
+# this many bytes, so their temporaries stay O(n) rows deep.
+_ROW_BLOCK_BYTES = 1 << 18
 
 
 def nearest_pole(lam):
@@ -267,12 +271,50 @@ def residual(lam, n):
     modest multiple of n eps however ill-conditioned C - lambda is
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14);
     exact arithmetic would give zero.
+
+    R is the dense matrix under test; C is never formed.  A product with
+    C - lambda is a running sum: row i of (C - lambda) R is
+    (1/i) sum_{k<i} R_k + (1/i - lambda) R_i, and column j of
+    R (C - lambda) is sum_{k>j} R_{:,k}/k + (1/j - lambda) R_{:,j}, with
+    the factors 1/i and 1/i - lambda of the dense C - lambda.  Both are
+    taken over blocks of whole rows of R, so an entry above the diagonal
+    counts too: the first as column sums carried from block to block, the
+    second as reverse sums along each row.  ||C - lambda|| has the closed
+    form max_i ((i - 1)/i + |1/i - lambda|).  O(n^2) time, and O(n b)
+    memory besides R for blocks of b rows of _ROW_BLOCK_BYTES.
     """
     lam = complex(lam)
     R = resolvent_operator(lam, n).dense()
-    A = cesaro_matrix(n).dense().astype(np.complex128)
-    A[np.diag_indices(n)] -= lam
-    eye = np.eye(n)
-    size = lambda M: np.linalg.norm(M, np.inf)
-    deviation = max(size(A @ R - eye), size(R @ A - eye))
-    return float(deviation / (size(A) * size(R)))
+    k = np.arange(1, n + 1, dtype=np.float64)
+    inv = 1.0 / k
+    diag = inv - lam
+    rows = max(1, _ROW_BLOCK_BYTES // (R.itemsize * n))
+    carry = np.zeros(n, dtype=R.dtype)  # sum of the rows of R above the block
+    left = right = size_r = 0.0
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = R[lo:hi]
+        size_r = max(size_r, _max_abs_row_sum(block))
+        # (C - lambda) R: column sums of the rows above each row
+        above = np.empty_like(block)
+        above[0] = carry
+        above[1:] = block[:-1]
+        np.cumsum(above, axis=0, out=above)
+        carry = above[-1] + block[-1]
+        above *= inv[lo:hi, None]
+        above += diag[lo:hi, None] * block
+        above.reshape(-1)[lo :: n + 1] -= 1.0  # the entries (i, i) of the block
+        left = max(left, _max_abs_row_sum(above))
+        # R (C - lambda): sums along each row of R_{:,k}/k right of column j
+        after = np.empty_like(block)
+        after[:, -1] = 0.0
+        np.cumsum((block * inv)[:, :0:-1], axis=1, out=after[:, -2::-1])
+        after += block * diag
+        after.reshape(-1)[lo :: n + 1] -= 1.0
+        right = max(right, _max_abs_row_sum(after))
+    size_a = float(np.max((k - 1.0) / k + np.abs(diag)))
+    return float(max(left, right) / (size_a * size_r))
+
+
+def _max_abs_row_sum(block):
+    return float(np.abs(block).sum(axis=1).max())

@@ -87,6 +87,13 @@ ASCENT_RESTARTS = 5
 ASCENT_RTOL = 1e-10
 ASCENT_MAX_ITER = 200
 
+# The l^p upper bound is rounded outward by the factor 1 + _UPPER_SLACK_NEPS
+# n eps.  It and the norm ratio it caps are both built from running sums of
+# n terms, each within about n eps of its exact value, and where the two
+# agree in exact arithmetic (a diagonal, n = 1) the rounded ratio can
+# otherwise land above the rounded bound.
+_UPPER_SLACK_NEPS = 8
+
 # A sweep runs the lambdas of one size in chunks whose (k, L, n) block of
 # complex iterates takes at most this many bytes; the Lanczos basis and the
 # ces(0) column scan size their blocks by it too.
@@ -360,9 +367,10 @@ def _norm_reports(space, A, seeds, extra_starts):
     ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
     and ``extra_starts[i]`` adds ascent starts of its own (l^2 runs Lanczos
     and has none).  The max-norm row sums and the l^p upper bound
-    colmax^(1/p) rowmax^(1/p') come from the stack.  One loop turns the
-    Lanczos or ascent results into reports; ces(0) reports take the exact
-    best spike start when it beats the ascent.  Where B^q overflows, with
+    colmax^(1/p) rowmax^(1/p'), rounded outward by _UPPER_SLACK_NEPS n eps,
+    come from the stack.  One loop turns the Lanczos or ascent results
+    into reports; ces(0) reports take the exact best spike start when it
+    beats the ascent.  Where B^q overflows, with
     B = m 2^e the largest absolute row or column sum and q the largest
     finite one of p, p' and 2, the matrix is scaled by 2^-e (exact) and its
     report back by 2^e.
@@ -380,7 +388,8 @@ def _norm_reports(space, A, seeds, extra_starts):
     scale = np.ldexp(1.0, -shifts)[:, None]  # of d and u; 2^0 = 1 where B^q is finite
     A = LowerTriangularMatrix(A.d * scale, A.u * scale, A.v, A.starts, A.ratios)
     rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
-    uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p))).tolist()
+    slack = 1.0 + _UPPER_SLACK_NEPS * A.n * np.finfo(float).eps
+    uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p)) * slack).tolist()
     if kind == "lp" and p == 2.0:
         if A.is_real():  # a real stack runs in real arithmetic
             A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
@@ -491,15 +500,16 @@ def _sweep_task(space, n, chunk):
     """Records of one chunk of (lambda, seed, in_disk) tasks at size n.
 
     One :func:`_norm_reports` call gives every operator norm of the chunk,
-    and a second every regular norm, whose ascent also starts at |x*|, x*
-    its operator's best vector.  On these lattices ||R|| <= || |R| ||, so
-    the operator norm's lower bound is one of the regular norm too, and the
-    record keeps the larger: reg >= op even where the two agree to rounding.
+    and a second every regular norm.  Where that runs an ascent it also
+    starts at |x*|, x* its operator's best vector; no other estimator reads
+    it.  On these lattices ||R|| <= || |R| ||, so the operator norm's lower
+    bound is one of the regular norm too, and the record keeps the larger:
+    reg >= op even where the two agree to rounding.
     """
     R = stack([resolvent_operator(lam, n) for lam, _, _ in chunk])
     seeds = [seed for _, seed, _ in chunk]
     ops = _norm_reports(space, R, seeds, [()] * len(chunk))
-    escorts = [() if op.best_vector is None else (np.abs(op.best_vector),) for op in ops]
+    escorts = [(np.abs(op.best_vector),) if op.method == "ascent" else () for op in ops]
     regs = _norm_reports(space, R.modulus(), seeds, escorts)
     return [
         SweepRecord(

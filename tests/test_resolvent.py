@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -12,6 +14,7 @@ from ceslab import (
     residual,
     resolvent_operator,
 )
+from ceslab.resolvent import _ROW_BLOCK_BYTES
 from conftest import cesaro_section, log_domain_e, random_vector, sample_lambda
 
 EPS = np.finfo(np.float64).eps
@@ -211,3 +214,69 @@ class TestResidual:
         for _ in range(10):
             lam = sample_lambda(rng)
             assert residual(lam, 128) <= 1e-10
+
+    # one row block of residual() holds exactly this many rows at n = FULL_BLOCK
+    FULL_BLOCK = math.isqrt(_ROW_BLOCK_BYTES // 16)
+    SEVERAL_SCALE_BLOCKS = 1 / complex(-1000.0, 0.5)
+
+    @staticmethod
+    def dense_residual(lam, n):
+        """Oracle: the backward error from the dense C - lambda and BLAS products."""
+        R = resolvent_operator(lam, n).dense()
+        A = cesaro_section(n).astype(complex)
+        A[np.diag_indices(n)] -= lam
+        eye = np.eye(n)
+        size = lambda M: np.linalg.norm(M, np.inf)
+        return max(size(A @ R - eye), size(R @ A - eye)) / (size(A) * size(R))
+
+    def test_full_block_is_one_block(self):
+        rows = _ROW_BLOCK_BYTES // (16 * self.FULL_BLOCK)
+        assert rows == self.FULL_BLOCK
+
+    @pytest.mark.parametrize(
+        "lam, n",
+        [(0.8 + 0.6j, n) for n in (1, 2, 3, FULL_BLOCK - 1, FULL_BLOCK, FULL_BLOCK + 1, 300, 512)]
+        + [(1 / 3 + 2e-9j, n) for n in (3, 300, 512)]
+        + [(-1.0, n) for n in (FULL_BLOCK + 1, 512)]
+        + [(SEVERAL_SCALE_BLOCKS, 300), (SEVERAL_SCALE_BLOCKS, 512)],
+        ids=str,
+    )
+    def test_agrees_with_dense_products(self, lam, n):
+        if lam == self.SEVERAL_SCALE_BLOCKS:
+            assert len(resolvent_operator(lam, n).starts) >= 3
+        ours, dense = residual(lam, n), self.dense_residual(lam, n)
+        assert ours <= 8 * n * EPS and dense <= 8 * n * EPS
+        assert abs(ours - dense) <= 4 * n * EPS
+
+    @pytest.mark.parametrize(
+        "where",
+        ["first row", "last row", "last corner", "block edge", "above diagonal", "far above"],
+    )
+    @pytest.mark.parametrize("lam", [0.8 + 0.6j, -1.0])
+    def test_every_perturbed_entry_counts(self, monkeypatch, lam, where):
+        import ceslab.resolvent
+
+        n = 2 * self.FULL_BLOCK + 1  # several row blocks, and room for column 200
+        edge = _ROW_BLOCK_BYTES // (16 * n)  # the first row of the second block
+        i, j = {
+            "first row": (0, 0),
+            "last row": (n - 1, 0),
+            "last corner": (n - 1, n - 1),
+            "block edge": (edge, edge - 1),
+            "above diagonal": (0, 5),
+            "far above": (3, 200),
+        }[where]
+        assert residual(lam, n) <= 8 * n * EPS
+        build = ceslab.resolvent.resolvent_operator
+
+        class Perturbed:
+            def __init__(self, lam, n):
+                self.R = build(lam, n)
+
+            def dense(self):
+                R = self.R.dense()
+                R[i, j] += 1e-6 * np.abs(R).max()
+                return R
+
+        monkeypatch.setattr(ceslab.resolvent, "resolvent_operator", Perturbed)
+        assert residual(lam, n) > 8 * n * EPS
