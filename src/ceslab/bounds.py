@@ -170,18 +170,20 @@ def _strict_lower_scan(lam, n, bound):
     ``bound(rows, cols)`` gets two slices of 0-based indices and returns
     the bounds of that block as an array that broadcasts to its shape.
     The triangle is scanned in blocks of whole rows of about
-    _ROW_BLOCK_BYTES.  As with one argmin over the whole triangle, the
+    _ROW_BLOCK_BYTES, each built from the generators of |E| by
+    ``row_block`` with only the columns left of its last row, so no n x n
+    array is formed.  As with one argmin over the whole triangle, the
     first NaN margin wins, and otherwise the first of equal margins in
     row-major order.
     """
-    abs_e = comparison_operator(lam, n).modulus().dense()
+    abs_e = comparison_operator(lam, n).modulus()
     idx = np.arange(n)
-    rows = max(1, _ROW_BLOCK_BYTES // (abs_e.itemsize * n))
+    rows = max(1, _ROW_BLOCK_BYTES // (abs_e.d.itemsize * n))
     worst, witness = np.nan, None
     for lo in range(1, n, rows):
         hi = min(lo + rows, n)
         block = np.s_[lo:hi], np.s_[: hi - 1]  # row i holds entries in columns < i
-        margins = bound(*block) - abs_e[block]
+        margins = bound(*block) - abs_e.row_block(lo, hi, hi - 1)
         np.copyto(margins, np.inf, where=idx[: hi - 1] >= idx[lo:hi, None])
         k = int(np.argmin(margins))  # the first NaN, if there is one
         margin = float(margins.flat[k])
@@ -198,7 +200,9 @@ def check_entry_bounds(lam, n, kind):
     ``rho1_54`` requires Re(1/lambda) <= 0 and ``gamma_56`` requires
     0 < Re(1/lambda) < 1; outside those regions a WrongRegimeError names
     the region instead of producing a vacuous report.  The scans of E's
-    strict lower triangle need n >= 2.
+    strict lower triangle need n >= 2, and ``alpha_43`` refuses an alpha
+    whose bound factors beta n^(alpha-1) or m^(-alpha) leave the double
+    range.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
@@ -220,9 +224,17 @@ def check_entry_bounds(lam, n, kind):
                 f"alpha bound undefined at Re(1/lambda) = {alpha}",
                 "Re(1/lambda) < 1",
             )
-        beta = beta_estimate(lam, 2 * n)
-        k = np.arange(1.0, n + 1.0)
-        row_factors, col_factors = beta * k ** (alpha - 1.0), k ** (-alpha)
+        # beta and the powers of k over- or underflow at large |alpha|; 0 * inf
+        # would make the bound NaN, so a factor off the double range is refused
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            beta = beta_estimate(lam, 2 * n)
+            k = np.arange(1.0, n + 1.0)
+            row_factors, col_factors = beta * k ** (alpha - 1.0), k ** (-alpha)
+        if not (np.isfinite(row_factors).all() and np.isfinite(col_factors).all()):
+            raise UnsupportedParameterError(
+                f"the alpha_43 bound up to n = {n} leaves the double range "
+                f"at alpha = {alpha:.17g}"
+            )
         bound = lambda r, c: row_factors[r, None] * col_factors[c]
     elif kind == "rho1_54":
         if alpha > 0.0:
@@ -238,8 +250,8 @@ def check_entry_bounds(lam, n, kind):
                 f"lambda has Re(1/lambda) = {alpha}",
                 "a circle point: 0 < Re(1/lambda) < 1",
             )
-        ref = comparison_operator(1.0 / alpha, n).modulus().dense()
-        bound = lambda r, c: ref[r, c]
+        ref = comparison_operator(1.0 / alpha, n).modulus()
+        bound = lambda r, c: ref.row_block(r.start, r.stop, c.stop)
     return _report(kind, lam, n, *_strict_lower_scan(lam, n, bound))
 
 

@@ -13,6 +13,7 @@ size below a command's minimum included).
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -301,7 +302,9 @@ def _cmd_norms(args):
 # parser wiring
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and reused by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="ceslab",
         description="Finite-section checks for the discrete averaging operator",

@@ -63,8 +63,8 @@ _LOG_MAX = float(np.log(np.finfo(np.float64).max))
 # sides are built from the same difference 1/k - lambda.
 _DIAG_BOUND_ULPS = 8
 
-# Scans over a dense n x n matrix take it in blocks of whole rows of about
-# this many bytes, so their temporaries stay O(n) rows deep.
+# Scans over an n x n matrix take it in blocks of whole rows (or columns) of
+# about this many bytes, so their temporaries stay O(n) rows deep.
 _ROW_BLOCK_BYTES = 1 << 18
 
 

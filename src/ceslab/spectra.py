@@ -31,7 +31,7 @@ Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``abs_col_sums()`` and ``is_real()``, which the generator form of
 :class:`~ceslab.triangular.LowerTriangularMatrix` provides at O(n) cost
 per product.  No estimator stores an operator densely: the ces(0) column
-scan forms as many columns of |A| at a time as fit _LOCKSTEP_BYTES.
+scan forms as many columns of |A| at a time as fit _ROW_BLOCK_BYTES.
 """
 
 import logging
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedParameterError
+from .resolvent import _ROW_BLOCK_BYTES, resolvent_operator
 from .resolvent import gamma as gamma_of
-from .resolvent import resolvent_operator
 from .spaces import _norming_functionals, _norms, _primal_directions, _vertex_starts
 from .spaces import cesaro_averages, dual_exponent
 from .triangular import LowerTriangularMatrix, stack
@@ -95,8 +95,8 @@ ASCENT_MAX_ITER = 200
 _UPPER_SLACK_NEPS = 8
 
 # A sweep runs the lambdas of one size in chunks whose (k, L, n) block of
-# complex iterates takes at most this many bytes; the Lanczos basis and the
-# ces(0) column scan size their blocks by it too.
+# complex iterates takes at most this many bytes; the Lanczos basis sizes
+# its blocks by it too.
 _LOCKSTEP_BYTES = 2 * 1024 * 1024
 
 
@@ -349,7 +349,7 @@ def _ces0_column_sup(A):
     absA = A.modulus()
     rows = np.arange(1, A.n + 1)
     best_averages = np.empty(A.n)
-    width = max(1, _LOCKSTEP_BYTES // (8 * A.n))  # columns of |A| per block
+    width = max(1, _ROW_BLOCK_BYTES // (8 * A.n))  # columns of |A| per block
     for lo in range(0, A.n, width):
         hi = min(A.n, lo + width)
         block = absA.matvec(np.eye(hi - lo, A.n, lo)).real  # row m is column m of |A|

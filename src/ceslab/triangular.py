@@ -132,30 +132,51 @@ class LowerTriangularMatrix:
     def abs_col_sums(self):
         return self.modulus().rmatvec(np.ones(self.n))
 
-    def dense(self):
-        """The dense (n, n) array of a single matrix, filled one scale block at a time.
+    def row_block(self, lo, hi, cols=None):
+        """Rows lo..hi-1 and columns 0..cols-1 of a single matrix, as a dense array.
 
-        Each row block is written in place; the only temporary of size n^2
-        is a boolean mask of the diagonal block.  The v_j of earlier blocks
-        carry the ratios in the order a running sum applies them, so the
-        entries are bit for bit those of the product with I.
+        Bit for bit ``dense()[lo:hi, :cols]`` (``cols`` defaults to n), but
+        only this block is formed: O((hi - lo) cols) memory, and O(n) more
+        for the v_j of earlier scale blocks.  Those carry the ratios in the
+        order a running sum applies them, so the entries are bit for bit
+        those of the product with I.  The only temporary of the block's
+        shape besides the result is a boolean mask of the entries on or
+        above the diagonal.
         """
-        n, starts = self.n, self.starts
-        out = np.zeros((n, n), dtype=self.d.dtype)
-        ends = starts[1:] + (n,)
-        scaled = self.v[:0]  # v_j of the blocks already passed, in this block's scale
-        for q, (lo, hi) in enumerate(zip(starts, ends)):
+        cols = self.n if cols is None else cols
+        out = np.empty((hi - lo, cols), dtype=self.d.dtype)
+        starts = self.starts
+        ends = starts[1:] + (self.n,)
+        scaled = self.v[:0]  # v_j, j < cols, of the blocks already passed, in this block's scale
+        for q, (first, last) in enumerate(zip(starts, ends)):
+            if first >= hi:
+                break
             if q:
-                prev = self.v[starts[q - 1] : lo]
+                prev = self.v[starts[q - 1] : min(first, cols)]
                 scaled = np.concatenate((scaled, prev)) * self.ratios[q]
-            rows = self.u[lo:hi, None]
-            np.multiply(rows, scaled, out=out[lo:hi, :lo])
-            block = out[lo:hi, lo:hi]
-            np.multiply(rows, self.v[lo:hi], out=block)
-            on_or_above = np.less_equal.outer(np.arange(hi - lo), np.arange(hi - lo))
-            np.copyto(block, 0, where=on_or_above)
-        out.reshape(-1)[:: n + 1] = self.d
+            top, bottom = max(lo, first), min(hi, last)
+            if top >= bottom:
+                continue
+            rows, dst = self.u[top:bottom, None], out[top - lo : bottom - lo]
+            left, right = min(first, cols), min(bottom, cols)  # this block's columns below the diagonal
+            # both factors 2-D: a 1 x 1 product with a broadcast factor takes
+            # numpy's scalar loop, whose complex product rounds differently
+            np.multiply(rows, scaled[None, :], out=dst[:, :left])
+            np.multiply(rows, self.v[None, left:right], out=dst[:, left:right])
+            on_or_above = np.less_equal.outer(np.arange(top, bottom), np.arange(left, right))
+            np.copyto(dst[:, left:right], 0, where=on_or_above)
+            dst[:, right:] = 0
+        diag = np.arange(lo, min(hi, cols))
+        out[diag - lo, diag] = self.d[diag]
         return out
+
+    def dense(self):
+        """The dense (n, n) array of a single matrix: :meth:`row_block` of all its rows.
+
+        Each scale block's rows are written in place; the only temporary of
+        size n^2 is a boolean mask of the diagonal scale block.
+        """
+        return self.row_block(0, self.n)
 
     def is_real(self):
         factors = (self.d, self.u, self.v)

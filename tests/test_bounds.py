@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,14 @@ from ceslab import (
     product_profile,
     remark41,
 )
-from ceslab.bounds import _row_sums, comparison_matrix_report, profile_report, remark41_report
+from ceslab.bounds import (
+    _report,
+    _row_sums,
+    comparison_matrix_report,
+    profile_report,
+    remark41_report,
+)
+from ceslab.resolvent import alpha_of
 from conftest import sample_lambda
 
 
@@ -177,6 +187,96 @@ class TestCheckEntryBounds:
             assert set(report) == keys | {"lambda_re", "lambda_im"}
             assert (report["kind"], report["lambda_re"], report["lambda_im"]) == (kind, lam, 0.0)
         assert set(comparison_matrix_report("rowsum_46", 0.5, 20)) == keys
+
+
+def dense_scan(lam, n, kind):
+    """The report of one argmin over the whole dense strict lower triangle.
+
+    |E| is formed densely as the product of |E| with I, and the margins
+    bound - |e_nm| are those of the row-block scan, entry for entry; the
+    first NaN wins, else the first minimum in row-major order.  Returns
+    None where the alpha_43 factors leave the double range.
+    """
+    abs_e = comparison_operator(lam, n).modulus().matvec(np.eye(n)).T
+    alpha, k = alpha_of(lam), np.arange(1.0, n + 1.0)
+    if kind == "alpha_43":
+        with np.errstate(all="ignore"):
+            rows, cols = beta_estimate(lam, 2 * n) * k ** (alpha - 1.0), k ** (-alpha)
+        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+            return None
+        bound = rows[:, None] * cols
+    elif kind == "rho1_54":
+        bound = (1.0 / k)[:, None]
+    else:
+        bound = comparison_operator(1.0 / alpha, n).modulus().matvec(np.eye(n)).T
+    margins = bound - abs_e
+    margins[np.triu_indices(n)] = np.inf
+    i, j = divmod(int(np.argmin(margins)), n)
+    return _report(kind, lam, n, float(margins[i, j]), (i + 1, j + 1))
+
+
+class TestScanAgainstDense:
+    """The row-block scans print what one dense scan of the triangle prints."""
+
+    SIZES = (2, 3, 4, 64, 65, 127, 128, 129, 256, 257, 1000, 1024)
+    FAR_LEFT = 1.0 / complex(-1000.0, 0.5)  # E has 3 scale blocks at n = 256, 6 at 1024
+
+    @pytest.mark.parametrize(
+        "kind, lam",
+        [
+            ("rho1_54", -1.0),
+            ("rho1_54", -1.2881245156855996 - 0.32233812873922685j),
+            ("rho1_54", FAR_LEFT),
+            ("rho1_54", 0.5j),
+            ("rho1_54", -0.0025),
+            ("alpha_43", 1.5620451708469711 + 0.6525863966760673j),
+            ("alpha_43", 2.0),
+            ("alpha_43", -1.0),
+            ("alpha_43", 0.3 + 0.5j),
+            ("alpha_43", FAR_LEFT),
+            ("alpha_43", -0.02 + 0.01j),
+            ("gamma_56", gamma_circle_point(0.5813120750546126, 1.3007422870309697)),
+            ("gamma_56", gamma_circle_point(0.9, 0.1)),
+            ("gamma_56", gamma_circle_point(0.05, 2.0)),
+        ],
+    )
+    def test_json_is_the_dense_scans(self, kind, lam):
+        for n in self.SIZES:
+            expected = dense_scan(lam, n, kind)
+            if expected is None:
+                with pytest.raises(UnsupportedParameterError, match=f"n = {n} .*alpha = -"):
+                    check_entry_bounds(lam, n, kind)
+                continue
+            report = check_entry_bounds(lam, n, kind)
+            assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_far_left_lambda_spans_scale_blocks(self):
+        assert len(comparison_operator(self.FAR_LEFT, 256).starts) == 3
+        assert len(comparison_operator(self.FAR_LEFT, 1024).starts) == 6
+
+    @pytest.mark.parametrize(
+        "kind, lam",
+        [
+            ("rho1_54", FAR_LEFT),
+            ("alpha_43", 1.5620451708469711 + 0.6525863966760673j),
+            ("gamma_56", gamma_circle_point(0.5813120750546126, 1.3007422870309697)),
+        ],
+    )
+    def test_scan_holds_no_square_array(self, kind, lam):
+        # a dense n x n |E| alone would take 128 MiB at n = 4096
+        tracemalloc.start()
+        try:
+            check_entry_bounds(lam, 4096, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("lam, n", [(FAR_LEFT, 256), (FAR_LEFT, 3), (-0.0025, 64)])
+    def test_alpha43_refuses_factors_off_the_double_range(self, lam, n):
+        # beta n^(alpha-1) and m^(-alpha) over- or underflow: the bound was 0 * inf = NaN
+        with pytest.raises(UnsupportedParameterError, match=f"n = {n} .*alpha = -"):
+            check_entry_bounds(lam, n, "alpha_43")
 
 
 class TestRowSupAndColumnLimits:

@@ -165,6 +165,21 @@ class TestBounds:
         else:
             assert code == 0 and math.isfinite(json.loads(captured.out)["worst_margin"])
 
+    @pytest.mark.parametrize(
+        "lam, n",
+        [("-0.0009999997500000624-4.999998750000313e-07i", 256), ("-0.0025", 64)],
+    )
+    def test_alpha43_off_the_double_range_is_refused(self, lam, n, capsys):
+        # beta n^(alpha-1) * m^(-alpha) was 0 * inf: "worst_margin": NaN, exit 1
+        code = main(["bounds", "--kind=alpha_43", f"--lambda={lam}", f"--n={n}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("error:") == 1 and captured.err.count("\n") == 1
+        assert "alpha = -" in captured.err and f"n = {n}" in captured.err
+
+    def test_the_parser_is_built_once(self):
+        assert ceslab.cli.build_parser() is ceslab.cli.build_parser()
+
 
 SWEEP_FLAGS = [
     "sweep",

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ceslab.spectra import (
     ASCENT_RTOL,
     _UPPER_SLACK_NEPS,
     _ascent_starts,
+    _ces0_column_sup,
     _lockstep_ascent,
     _norm_reports,
 )
@@ -152,10 +154,21 @@ class TestOperatorNorms:
         A = random_triangular(rng, 300, blocks=2)
         scans = []
         for budget in (1, 8 * 300 * 300):  # one column per block, one block
-            monkeypatch.setattr(ceslab.spectra, "_LOCKSTEP_BYTES", budget)
+            monkeypatch.setattr(ceslab.spectra, "_ROW_BLOCK_BYTES", budget)
             scans.append(ceslab.spectra._ces0_column_sup(A))
         (value, spike), (one_value, one_spike) = scans
         assert value == one_value and np.array_equal(spike, one_spike)
+
+    def test_ces0_column_scan_holds_no_square_array(self):
+        # all n columns of |R| at once would take 128 MiB at n = 4096
+        A = resolvent_operator(0.7 + 0.9j, 4096)
+        tracemalloc.start()
+        try:
+            _ces0_column_sup(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
     def test_large_p_report_is_finite_and_below_its_upper_bound(self):
         # the plain 50-norm of R x overflows here; the estimate must not

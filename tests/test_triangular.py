@@ -73,6 +73,27 @@ class TestConstruction:
         assert peak <= 1.25 * dense.nbytes
 
 
+class TestRowBlock:
+    """A row block is the slice of the dense form, bit for bit, at every height and width."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 30, 31])
+    def test_equals_dense_slices(self, rng, n, blocks, real):
+        A = random_triangular(rng, n, real=real, blocks=min(blocks, n))
+        dense = A.dense()
+        # the product with I carries the ratios in the order of a running sum
+        np.testing.assert_array_equal(dense, A.matvec(np.eye(n)).T)
+        for height in sorted({1, min(7, n), n}):
+            for lo in range(0, n, height):
+                hi = min(lo + height, n)
+                for cols in sorted({0, 1, lo, hi - 1, hi, n}):
+                    block = A.row_block(lo, hi, cols)
+                    assert block.shape == (hi - lo, cols) and block.dtype == dense.dtype
+                    np.testing.assert_array_equal(block, dense[lo:hi, :cols])
+        np.testing.assert_array_equal(A.row_block(0, n), dense)
+
+
 class TestStack:
     """A stack's products are its matrices' own products, bit for bit."""
 
