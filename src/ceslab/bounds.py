@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import UnsupportedParameterError, WrongRegimeError
 from .resolvent import (
-    _ROW_BLOCK_BYTES,
     _factor_sequence,
     _require_off_sigma_zero,
     alpha_of,
     comparison_operator,
     diagonal_part,
 )
+from .triangular import row_spans
 
 __all__ = [
     "BOUND_KINDS",
@@ -71,6 +71,11 @@ class ProductProfile:
         return float(self.scaled.max())
 
 
+def _off_double_range(what, alpha):
+    """The refusal of a quantity that leaves the double range at this alpha."""
+    return UnsupportedParameterError(f"{what} leaves the double range at alpha = {alpha:.17g}")
+
+
 def product_profile(lam, N):
     """Profile of the factor products up to N, evaluated in the log domain."""
     lam = complex(lam)
@@ -97,10 +102,7 @@ def profile_report(lam, n):
         raise UnsupportedParameterError(f"the profile band test needs n >= 2, got {n}")
     profile = product_profile(lam, n)
     if not (np.isfinite(profile.scaled).all() and profile.scaled.min() > 0):
-        raise UnsupportedParameterError(
-            f"the profile n^alpha pi_n up to n = {n} leaves the double range "
-            f"at alpha = {profile.alpha:.17g}"
-        )
+        raise _off_double_range(f"the profile n^alpha pi_n up to n = {n}", profile.alpha)
     head = max(2, n // 10)
     p0 = float(profile.scaled[:head].min())
     q0 = float(profile.scaled[:head].max())
@@ -123,7 +125,8 @@ def beta_estimate(lam, N):
 
     Computed as sup over 1 <= m < n <= N of |e_nm| n^(1-alpha) m^alpha.  The
     entry factorizes through prefix products, so the sup reduces to a
-    running maximum and costs O(N) instead of a full triangle scan.
+    running maximum and costs O(N) instead of a full triangle scan.  A sup
+    off the double range (large negative alpha) is refused.
     """
     lam = complex(lam)
     _require_off_sigma_zero(lam)
@@ -141,7 +144,11 @@ def beta_estimate(lam, N):
     log_a = prefix[:N] + alpha * logj
     log_b = -alpha * logj - prefix[1:]
     best_a = np.maximum.accumulate(log_a)
-    return float(np.exp((log_b[1:] + best_a[:-1]).max()))
+    with np.errstate(over="ignore"):
+        beta = float(np.exp((log_b[1:] + best_a[:-1]).max()))
+    if not np.isfinite(beta):
+        raise _off_double_range(f"beta up to N = {N}", alpha)
+    return beta
 
 
 def _report(kind, lam, n, margin, witness):
@@ -167,23 +174,18 @@ def _report(kind, lam, n, margin, witness):
 def _strict_lower_scan(lam, n, bound):
     """Worst margin of bound - |e_nm| over E's strict lower triangle.
 
-    ``bound(rows, cols)`` gets two slices of 0-based indices and returns
-    the bounds of that block as an array that broadcasts to its shape.
-    The triangle is scanned in blocks of whole rows of about
-    _ROW_BLOCK_BYTES, each built from the generators of |E| by
-    ``row_block`` with only the columns left of its last row, so no n x n
-    array is formed.  As with one argmin over the whole triangle, the
-    first NaN margin wins, and otherwise the first of equal margins in
-    row-major order.
+    The triangle is scanned in the row blocks of ``row_spans``, each built
+    from the generators of |E| by ``row_block`` with only the columns left
+    of its last row, so no n x n array is formed; ``bound(lo, hi)`` gives
+    the bounds of that block, as an array that broadcasts to its shape.
+    As with one argmin over the whole triangle, the first NaN margin wins,
+    and otherwise the first of equal margins in row-major order.
     """
     abs_e = comparison_operator(lam, n).modulus()
     idx = np.arange(n)
-    rows = max(1, _ROW_BLOCK_BYTES // (abs_e.d.itemsize * n))
     worst, witness = np.nan, None
-    for lo in range(1, n, rows):
-        hi = min(lo + rows, n)
-        block = np.s_[lo:hi], np.s_[: hi - 1]  # row i holds entries in columns < i
-        margins = bound(*block) - abs_e.row_block(lo, hi, hi - 1)
+    for lo, hi in row_spans(n, abs_e.d.itemsize, first=1):
+        margins = bound(lo, hi) - abs_e.row_block(lo, hi, hi - 1)  # row i: columns < i
         np.copyto(margins, np.inf, where=idx[: hi - 1] >= idx[lo:hi, None])
         k = int(np.argmin(margins))  # the first NaN, if there is one
         margin = float(margins.flat[k])
@@ -226,16 +228,16 @@ def check_entry_bounds(lam, n, kind):
             )
         # beta and the powers of k over- or underflow at large |alpha|; 0 * inf
         # would make the bound NaN, so a factor off the double range is refused
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        try:
             beta = beta_estimate(lam, 2 * n)
+        except UnsupportedParameterError:  # beta itself is off the double range
+            beta = np.inf
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             k = np.arange(1.0, n + 1.0)
             row_factors, col_factors = beta * k ** (alpha - 1.0), k ** (-alpha)
         if not (np.isfinite(row_factors).all() and np.isfinite(col_factors).all()):
-            raise UnsupportedParameterError(
-                f"the alpha_43 bound up to n = {n} leaves the double range "
-                f"at alpha = {alpha:.17g}"
-            )
-        bound = lambda r, c: row_factors[r, None] * col_factors[c]
+            raise _off_double_range(f"the alpha_43 bound up to n = {n}", alpha)
+        bound = lambda lo, hi: row_factors[lo:hi, None] * col_factors[: hi - 1]
     elif kind == "rho1_54":
         if alpha > 0.0:
             raise WrongRegimeError(
@@ -243,7 +245,7 @@ def check_entry_bounds(lam, n, kind):
                 "rho1: lambda != 0 with Re(1/lambda) <= 0",
             )
         inverse = 1.0 / np.arange(1.0, n + 1.0)
-        bound = lambda r, c: inverse[r, None]
+        bound = lambda lo, hi: inverse[lo:hi, None]
     else:
         if not 0.0 < alpha < 1.0:
             raise WrongRegimeError(
@@ -251,7 +253,7 @@ def check_entry_bounds(lam, n, kind):
                 "a circle point: 0 < Re(1/lambda) < 1",
             )
         ref = comparison_operator(1.0 / alpha, n).modulus()
-        bound = lambda r, c: ref.row_block(r.start, r.stop, c.stop)
+        bound = lambda lo, hi: ref.row_block(lo, hi, hi - 1)
     return _report(kind, lam, n, *_strict_lower_scan(lam, n, bound))
 
 
@@ -282,9 +284,7 @@ def _comparison_report(kind, lam, alpha, n):
             m = np.arange(1, half + 1, dtype=np.float64)
             values = half ** (alpha - 1.0) * m**-alpha - n ** (alpha - 1.0) * m**-alpha
     if not np.isfinite(values).all():
-        raise UnsupportedParameterError(
-            f"the {kind} test up to n = {n} leaves the double range at alpha = {alpha:.17g}"
-        )
+        raise _off_double_range(f"the {kind} test up to n = {n}", alpha)
     if kind == "rowsum_46":
         sup_half, sup_full = float(values[:half].max()), float(values.max())
         margin = 0.05 * sup_full - (sup_full - sup_half)

@@ -28,10 +28,10 @@ exponent.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
 ``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
-``abs_col_sums()`` and ``is_real()``, which the generator form of
-:class:`~ceslab.triangular.LowerTriangularMatrix` provides at O(n) cost
-per product.  No estimator stores an operator densely: the ces(0) column
-scan forms as many columns of |A| at a time as fit _ROW_BLOCK_BYTES.
+``abs_col_sums()``, ``row_block()`` and ``is_real()``, which the generator
+form of :class:`~ceslab.triangular.LowerTriangularMatrix` provides.  No
+estimator stores an operator densely: the ces(0) column scan reads |A| in
+the row blocks of ``row_spans`` and carries its column sums between them.
 """
 
 import logging
@@ -40,11 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedParameterError
-from .resolvent import _ROW_BLOCK_BYTES, resolvent_operator
+from .resolvent import resolvent_operator
 from .resolvent import gamma as gamma_of
 from .spaces import _norming_functionals, _norms, _primal_directions, _vertex_starts
-from .spaces import cesaro_averages, dual_exponent
-from .triangular import LowerTriangularMatrix, stack
+from .spaces import dual_exponent
+from .triangular import LowerTriangularMatrix, row_spans, stack
 
 __all__ = [
     "SpectralDisk",
@@ -347,13 +347,16 @@ def _ces0_column_sup(A):
     # best single-column input: sup_m m * || averages of |A e_m| ||_max,
     # exact over the spike directions m e_m of the ces(0) unit sphere
     absA = A.modulus()
-    rows = np.arange(1, A.n + 1)
-    best_averages = np.empty(A.n)
-    width = max(1, _ROW_BLOCK_BYTES // (8 * A.n))  # columns of |A| per block
-    for lo in range(0, A.n, width):
-        hi = min(A.n, lo + width)
-        block = absA.matvec(np.eye(hi - lo, A.n, lo)).real  # row m is column m of |A|
-        best_averages[lo:hi] = cesaro_averages(block).max(axis=-1)
+    rows = np.arange(1.0, A.n + 1.0)
+    sums = np.zeros(A.n)  # column sums of the rows of |A| above the block
+    best_averages = np.zeros(A.n)
+    for lo, hi in row_spans(A.n, absA.d.itemsize):
+        block = absA.row_block(lo, hi, hi)  # columns from hi on are 0 in these rows
+        block[0] += sums[:hi]
+        np.cumsum(block, axis=0, out=block)
+        sums[:hi] = block[-1]
+        block /= rows[lo:hi, None]  # the running averages down each column
+        np.maximum(best_averages[:hi], block.max(axis=0), out=best_averages[:hi])
     per_column = best_averages * rows
     m_best = int(np.argmax(per_column))
     spike = np.zeros(A.n, dtype=np.complex128)

@@ -22,6 +22,16 @@ from .errors import InvalidDimensionError
 
 __all__ = ["LowerTriangularMatrix", "cesaro_matrix", "apply", "stack"]
 
+_ROW_BLOCK_BYTES = 1 << 18  # the bytes of one row block of a scan, see row_spans
+
+
+def row_spans(n, itemsize, first=0):
+    """The (lo, hi) spans that walk rows first..n-1 of an n x n matrix once, in order:
+    max(1, _ROW_BLOCK_BYTES // (itemsize n)) rows each, the last one fewer."""
+    rows = max(1, _ROW_BLOCK_BYTES // (itemsize * n))
+    for lo in range(first, n, rows):
+        yield lo, min(lo + rows, n)
+
 
 def _carried_sums(z, starts, ratios, reverse=False):
     """Exclusive running sums of z along its last axis, carried across scale blocks.
@@ -132,18 +142,16 @@ class LowerTriangularMatrix:
     def abs_col_sums(self):
         return self.modulus().rmatvec(np.ones(self.n))
 
-    def row_block(self, lo, hi, cols=None):
+    def row_block(self, lo, hi, cols):
         """Rows lo..hi-1 and columns 0..cols-1 of a single matrix, as a dense array.
 
-        Bit for bit ``dense()[lo:hi, :cols]`` (``cols`` defaults to n), but
-        only this block is formed: O((hi - lo) cols) memory, and O(n) more
-        for the v_j of earlier scale blocks.  Those carry the ratios in the
-        order a running sum applies them, so the entries are bit for bit
-        those of the product with I.  The only temporary of the block's
-        shape besides the result is a boolean mask of the entries on or
-        above the diagonal.
+        Bit for bit ``dense()[lo:hi, :cols]``, but only this block is formed:
+        O((hi - lo) cols) memory, and O(n) more for the v_j of earlier scale
+        blocks.  Those carry the ratios in the order a running sum applies
+        them, so the entries are bit for bit those of the product with I.
+        The only temporary of the block's shape besides the result is a
+        boolean mask of the entries on or above the diagonal.
         """
-        cols = self.n if cols is None else cols
         out = np.empty((hi - lo, cols), dtype=self.d.dtype)
         starts = self.starts
         ends = starts[1:] + (self.n,)
@@ -171,12 +179,8 @@ class LowerTriangularMatrix:
         return out
 
     def dense(self):
-        """The dense (n, n) array of a single matrix: :meth:`row_block` of all its rows.
-
-        Each scale block's rows are written in place; the only temporary of
-        size n^2 is a boolean mask of the diagonal scale block.
-        """
-        return self.row_block(0, self.n)
+        """The dense (n, n) array of a single matrix: :meth:`row_block` of all its rows."""
+        return self.row_block(0, self.n, self.n)
 
     def is_real(self):
         factors = (self.d, self.u, self.v)

@@ -129,6 +129,12 @@ class TestBetaEstimate:
         with pytest.raises(UnsupportedParameterError):
             beta_estimate(0.4 + 0.3j, 100)  # Re(1/lambda) = 1.6
 
+    @pytest.mark.parametrize("lam, N", [(-0.0025, 128), (1 / complex(-1000.0, 0.5), 512)])
+    def test_refuses_a_sup_off_the_double_range(self, lam, N):
+        # exp overflowed: inf, with numpy's RuntimeWarning
+        with pytest.raises(UnsupportedParameterError, match=f"N = {N} .*alpha = -"):
+            beta_estimate(lam, N)
+
 
 class TestCheckEntryBounds:
     def test_rho1_hand_margin(self):
@@ -195,13 +201,17 @@ def dense_scan(lam, n, kind):
     |E| is formed densely as the product of |E| with I, and the margins
     bound - |e_nm| are those of the row-block scan, entry for entry; the
     first NaN wins, else the first minimum in row-major order.  Returns
-    None where the alpha_43 factors leave the double range.
+    None where beta or the alpha_43 factors leave the double range.
     """
     abs_e = comparison_operator(lam, n).modulus().matvec(np.eye(n)).T
     alpha, k = alpha_of(lam), np.arange(1.0, n + 1.0)
     if kind == "alpha_43":
+        try:
+            beta = beta_estimate(lam, 2 * n)
+        except UnsupportedParameterError:
+            return None
         with np.errstate(all="ignore"):
-            rows, cols = beta_estimate(lam, 2 * n) * k ** (alpha - 1.0), k ** (-alpha)
+            rows, cols = beta * k ** (alpha - 1.0), k ** (-alpha)
         if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
             return None
         bound = rows[:, None] * cols

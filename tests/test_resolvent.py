@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ceslab import (
     residual,
     resolvent_operator,
 )
-from ceslab.resolvent import _ROW_BLOCK_BYTES
+from ceslab.triangular import _ROW_BLOCK_BYTES
 from conftest import cesaro_section, log_domain_e, random_vector, sample_lambda
 
 EPS = np.finfo(np.float64).eps
@@ -247,6 +248,17 @@ class TestResidual:
         ours, dense = residual(lam, n), self.dense_residual(lam, n)
         assert ours <= 8 * n * EPS and dense <= 8 * n * EPS
         assert abs(ours - dense) <= 4 * n * EPS
+
+    def test_holds_little_besides_r(self):
+        # the dense R alone takes 16 MiB at n = 1024; each row block's
+        # temporaries are a few times _ROW_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            residual(0.8 + 0.6j, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20 + 2 * 2**20
 
     @pytest.mark.parametrize(
         "where",

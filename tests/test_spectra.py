@@ -150,14 +150,45 @@ class TestOperatorNorms:
 
     def test_ces0_column_scan_does_not_depend_on_its_blocks(self, rng, monkeypatch):
         import ceslab.spectra
+        import ceslab.triangular
 
         A = random_triangular(rng, 300, blocks=2)
         scans = []
-        for budget in (1, 8 * 300 * 300):  # one column per block, one block
-            monkeypatch.setattr(ceslab.spectra, "_ROW_BLOCK_BYTES", budget)
+        for budget in (1, 8 * 300 * 300):  # one row per block, one block
+            monkeypatch.setattr(ceslab.triangular, "_ROW_BLOCK_BYTES", budget)
             scans.append(ceslab.spectra._ces0_column_sup(A))
         (value, spike), (one_value, one_spike) = scans
         assert value == one_value and np.array_equal(spike, one_spike)
+
+    @staticmethod
+    def dense_column_sup(A):
+        """The largest m times the largest running average down column m of |A|, and m.
+
+        |A| is the modulus of the generators, formed densely; for complex
+        A, np.abs of A.dense() rounds the entries differently.
+        """
+        k = np.arange(1.0, A.n + 1.0)
+        per_column = (np.cumsum(A.modulus().dense(), axis=0) / k[:, None]).max(axis=0) * k
+        m = int(np.argmax(per_column))
+        return per_column[m], m
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 129, 300])
+    def test_ces0_column_scan_is_the_dense_scan(self, rng, monkeypatch, n, real):
+        import ceslab.triangular
+
+        matrices = [random_triangular(rng, n, real, blocks) for blocks in range(1, min(n, 3) + 1)]
+        if n == 300:
+            matrices.append(resolvent_operator(-0.0025 if real else 1 / complex(-1000.0, 0.5), n))
+            assert len(matrices[-1].starts) >= (2 if real else 3)
+        # one row block; blocks of 7 rows, which end inside scale blocks; one row each
+        for rows in (n, 7, 1):
+            monkeypatch.setattr(ceslab.triangular, "_ROW_BLOCK_BYTES", 8 * n * rows)
+            for A in matrices:
+                value, spike = _ces0_column_sup(A)
+                expected, m = self.dense_column_sup(A)
+                assert value == expected
+                assert np.flatnonzero(spike).tolist() == [m] and spike[m] == m + 1
 
     def test_ces0_column_scan_holds_no_square_array(self):
         # all n columns of |R| at once would take 128 MiB at n = 4096

@@ -10,6 +10,7 @@ from ceslab import (
     cesaro_matrix,
     stack,
 )
+from ceslab.triangular import row_spans
 from conftest import cesaro_section, random_triangular, random_vector
 
 
@@ -91,7 +92,23 @@ class TestRowBlock:
                     block = A.row_block(lo, hi, cols)
                     assert block.shape == (hi - lo, cols) and block.dtype == dense.dtype
                     np.testing.assert_array_equal(block, dense[lo:hi, :cols])
-        np.testing.assert_array_equal(A.row_block(0, n), dense)
+        np.testing.assert_array_equal(A.row_block(0, n, n), dense)
+
+
+class TestRowSpans:
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("itemsize", [8, 16])
+    # budgets below one row (1 B; 100 B at n = 300), of 7 rows and a few bytes, and the default
+    @pytest.mark.parametrize("budget", [1, 100, 7 * 8 * 300 + 5, 1 << 18])
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_cover_the_rows_once_in_order(self, monkeypatch, n, budget, itemsize, first):
+        import ceslab.triangular
+
+        monkeypatch.setattr(ceslab.triangular, "_ROW_BLOCK_BYTES", budget)
+        spans = list(row_spans(n, itemsize, first))
+        assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(first, n))
+        most = max(1, budget // (itemsize * n))
+        assert all(1 <= hi - lo <= most for lo, hi in spans)
 
 
 class TestStack:
