@@ -269,15 +269,23 @@ def residual(lam, n):
     exact arithmetic would give zero.
 
     R is the dense matrix under test; C is never formed.  A product with
-    C - lambda is a running sum: row i of (C - lambda) R is
-    (1/i) sum_{k<i} R_k + (1/i - lambda) R_i, and column j of
-    R (C - lambda) is sum_{k>j} R_{:,k}/k + (1/j - lambda) R_{:,j}, with
-    the factors 1/i and 1/i - lambda of the dense C - lambda.  Both are
-    taken over blocks of whole rows of R, so an entry above the diagonal
-    counts too: the first as column sums carried from block to block, the
-    second as reverse sums along each row.  ||C - lambda|| has the closed
-    form max_i ((i - 1)/i + |1/i - lambda|).  O(n^2) time, and O(n b)
-    memory besides R for the blocks of b rows of ``row_spans``.
+    C - lambda is an inclusive running sum less lambda times R: row i of
+    (C - lambda) R is (1/i) sum_{k<=i} R_k - lambda R_i, and column j of
+    R (C - lambda) is sum_{k>=j} R_{:,k}/k - lambda R_{:,j}.  Both are
+    taken over the blocks of b rows of ``row_spans``: the first as column
+    sums carried from block to block, the second as reverse sums along
+    each row.  ||C - lambda|| has the closed form
+    max_i ((i - 1)/i + |1/i - lambda|).
+
+    Only the lower triangle is walked.  Block (lo, hi) stops left of
+    column ``reach``: hi, or one past the rightmost nonzero entry of the
+    rows seen so far where that lies further right.  Right of it every row
+    read so far is zero, and so are both products and the carried column
+    sums, so a lower-triangular R, as the closed form is, costs half the
+    entries.  An entry above the diagonal widens the walk for its own
+    block and all later ones, which then carry its column sums.  O(n^2)
+    time, and O(n b) memory besides R in two fixed complex buffers, one
+    for each product in turn and one for lambda R, and one real one.
     """
     lam = complex(lam)
     # R stays dense: row blocks built from the generators saved 3 MB at n = 1024
@@ -285,32 +293,43 @@ def residual(lam, n):
     R = resolvent_operator(lam, n).dense()
     k = np.arange(1, n + 1, dtype=np.float64)
     inv = 1.0 / k
-    diag = inv - lam
-    carry = np.zeros(n, dtype=R.dtype)  # sum of the rows of R above the block
+    spans = list(row_spans(n, R.itemsize))
+    size = (spans[0][1] - spans[0][0]) * n  # no block holds more entries than the first, full width
+    flat = [np.empty(size, dtype=R.dtype) for _ in range(2)]
+    modulus = np.empty(size)
+    carry = np.zeros(n, dtype=R.dtype)  # column sums of the rows of R above the block
     left = right = size_r = 0.0
-    for lo, hi in row_spans(n, R.itemsize):
-        block = R[lo:hi]
-        size_r = max(size_r, _max_abs_row_sum(block))
-        # (C - lambda) R: column sums of the rows above each row
-        above = np.empty_like(block)
-        above[0] = carry
-        above[1:] = block[:-1]
-        np.cumsum(above, axis=0, out=above)
-        carry = above[-1] + block[-1]
-        above *= inv[lo:hi, None]
-        above += diag[lo:hi, None] * block
-        above.reshape(-1)[lo :: n + 1] -= 1.0  # the entries (i, i) of the block
-        left = max(left, _max_abs_row_sum(above))
-        # R (C - lambda): sums along each row of R_{:,k}/k right of column j
-        after = np.empty_like(block)
-        after[:, -1] = 0.0
-        np.cumsum((block * inv)[:, :0:-1], axis=1, out=after[:, -2::-1])
-        after += block * diag
-        after.reshape(-1)[lo :: n + 1] -= 1.0
-        right = max(right, _max_abs_row_sum(after))
-    size_a = float(np.max((k - 1.0) / k + np.abs(diag)))
+    reach = 0
+    for lo, hi in spans:
+        reach = max(reach, hi)
+        if R[lo:hi, reach:].any():  # an entry above the diagonal widens the walk
+            reach += int(np.flatnonzero(R[lo:hi, reach:].any(axis=0))[-1]) + 1
+        block = R[lo:hi, :reach]
+        # contiguous views of fixed buffers: temporaries of a new width per block cost RSS
+        product, scaled = (a[: block.size].reshape(block.shape) for a in flat)
+        size_r = max(size_r, _max_abs_row_sum(block, modulus))
+        np.multiply(block, lam, out=scaled)
+        # (C - lambda) R: column sums of the rows up to each row
+        np.copyto(product, block)
+        product[0] += carry[:reach]
+        np.cumsum(product, axis=0, out=product)
+        carry[:reach] = product[-1]
+        product *= inv[lo:hi, None]
+        product -= scaled
+        product.reshape(-1)[lo :: reach + 1] -= 1.0  # the entries (i, i) of the block
+        left = max(left, _max_abs_row_sum(product, modulus))
+        # R (C - lambda): sums along each row of R_{:,k}/k from column j on
+        np.multiply(block, inv[:reach], out=product)
+        np.cumsum(product[:, ::-1], axis=1, out=product[:, ::-1])
+        product -= scaled
+        product.reshape(-1)[lo :: reach + 1] -= 1.0
+        right = max(right, _max_abs_row_sum(product, modulus))
+    size_a = float(np.max((k - 1.0) / k + np.abs(inv - lam)))
     return float(max(left, right) / (size_a * size_r))
 
 
-def _max_abs_row_sum(block):
-    return float(np.abs(block).sum(axis=1).max())
+def _max_abs_row_sum(block, modulus):
+    """The largest row sum of |block|, taken in the front of the real buffer ``modulus``."""
+    absolute = modulus[: block.size].reshape(block.shape)
+    np.abs(block, out=absolute)
+    return float(absolute.sum(axis=1).max())

@@ -184,10 +184,11 @@ def _lockstep_lanczos(A, seeds):
     m = _lanczos_depth(L, n)
     dtype = A.d.dtype
     P, Q, B = np.empty((L, m + 1, n), dtype), np.empty((L, m, n), dtype), np.zeros((L, m, m))
+    complex_rows = np.any([a.imag.any(axis=-1) for a in (A.d, A.u, A.v)], axis=0)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
-        if not A[i].is_real():
+        if complex_rows[i]:
             x = x + 1j * rng.standard_normal(n)
         P[i, 0] = x / np.linalg.norm(x)
     owner = np.arange(L)  # the operator of each block row
@@ -364,7 +365,7 @@ def _ces0_column_sup(A):
     return float(per_column[m_best]), spike
 
 
-def _norm_reports(space, A, seeds, extra_starts):
+def _norm_reports(space, A, seeds, extra_starts, spikes=True):
     """Norm reports of the L matrices of the stack A, acting from ``space`` to itself.
 
     ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
@@ -373,10 +374,10 @@ def _norm_reports(space, A, seeds, extra_starts):
     colmax^(1/p) rowmax^(1/p'), rounded outward by _UPPER_SLACK_NEPS n eps,
     come from the stack.  One loop turns the Lanczos or ascent results
     into reports; ces(0) reports take the exact best spike start when it
-    beats the ascent.  Where B^q overflows, with
+    beats the ascent, unless ``spikes`` is false.  Where B^q overflows, with
     B = m 2^e the largest absolute row or column sum and q the largest
     finite one of p, p' and 2, the matrix is scaled by 2^-e (exact) and its
-    report back by 2^e.
+    report back by 2^e; where no B^q overflows the stack is used as given.
     """
     kind = space.kind
     for seed in seeds:
@@ -388,9 +389,10 @@ def _norm_reports(space, A, seeds, extra_starts):
     cols, p = A.abs_col_sums().max(axis=-1), space.exponent
     big, q = np.maximum(rows, cols), max(x for x in (p, dual_exponent(p), 2.0) if x < np.inf)
     shifts = np.where(big > np.finfo(float).max ** (1 / q), np.frexp(big)[1], 0)
-    scale = np.ldexp(1.0, -shifts)[:, None]  # of d and u; 2^0 = 1 where B^q is finite
-    A = LowerTriangularMatrix(A.d * scale, A.u * scale, A.v, A.starts, A.ratios)
-    rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
+    if shifts.any():
+        scale = np.ldexp(1.0, -shifts)[:, None]  # of d and u; 2^0 = 1 where B^q is finite
+        A = LowerTriangularMatrix(A.d * scale, A.u * scale, A.v, A.starts, A.ratios)
+        rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
     slack = 1.0 + _UPPER_SLACK_NEPS * A.n * np.finfo(float).eps
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p)) * slack).tolist()
     if kind == "lp" and p == 2.0:
@@ -402,7 +404,7 @@ def _norm_reports(space, A, seeds, extra_starts):
         results, method = _lockstep_ascent(space, A, starts), "ascent"
     reports = []
     for i, (value, vector, converged) in enumerate(results):
-        spike_value, spike = _ces0_column_sup(A[i]) if kind == "ces0" else (0.0, None)
+        spike_value, spike = _ces0_column_sup(A[i]) if kind == "ces0" and spikes else (0.0, None)
         if spike_value > value:
             value, vector = spike_value, spike
         upper = uppers[i] if kind == "lp" else None
@@ -507,13 +509,15 @@ def _sweep_task(space, n, chunk):
     starts at |x*|, x* its operator's best vector; no other estimator reads
     it.  On these lattices ||R|| <= || |R| ||, so the operator norm's lower
     bound is one of the regular norm too, and the record keeps the larger:
-    reg >= op even where the two agree to rounding.
+    reg >= op even where the two agree to rounding.  So the regular pass
+    skips the ces(0) column scan: it reads |R| as the operator pass does,
+    and the operator report already holds its spike value bit for bit.
     """
     R = stack([resolvent_operator(lam, n) for lam, _, _ in chunk])
     seeds = [seed for _, seed, _ in chunk]
     ops = _norm_reports(space, R, seeds, [()] * len(chunk))
     escorts = [(np.abs(op.best_vector),) if op.method == "ascent" else () for op in ops]
-    regs = _norm_reports(space, R.modulus(), seeds, escorts)
+    regs = _norm_reports(space, R.modulus(), seeds, escorts, spikes=False)
     return [
         SweepRecord(
             lam=lam,

@@ -113,9 +113,14 @@ class LowerTriangularMatrix:
 
         The block starts stay: a matrix has ratio 1.0 at a start foreign to
         it, so its products are bit for bit those of a fresh :func:`stack`.
+        The slots are filled directly: rows of a valid stack need no new
+        cast or check.
         """
-        ratios = [r[rows] for r in self.ratios]
-        return LowerTriangularMatrix(self.d[rows], self.u[rows], self.v[rows], self.starts, ratios)
+        sub = object.__new__(LowerTriangularMatrix)
+        sub.n, sub.starts = self.n, self.starts
+        sub.d, sub.u, sub.v = self.d[rows], self.u[rows], self.v[rows]
+        sub.ratios = tuple(r[rows] for r in self.ratios)
+        return sub
 
     def matvec(self, x):
         """The product A x along the last axis of ``x``, broadcast over the rest."""
@@ -149,8 +154,11 @@ class LowerTriangularMatrix:
         O((hi - lo) cols) memory, and O(n) more for the v_j of earlier scale
         blocks.  Those carry the ratios in the order a running sum applies
         them, so the entries are bit for bit those of the product with I.
-        The only temporary of the block's shape besides the result is a
-        boolean mask of the entries on or above the diagonal.
+        Each scale block's rows top..bottom-1 are masked only in the band of
+        columns from top on: every column left of top is below the diagonal
+        of all these rows.  So the one temporary besides the result, a
+        boolean mask of the entries on or above the diagonal, has at most
+        (bottom - top)^2 entries.
         """
         out = np.empty((hi - lo, cols), dtype=self.d.dtype)
         starts = self.starts
@@ -171,8 +179,9 @@ class LowerTriangularMatrix:
             # numpy's scalar loop, whose complex product rounds differently
             np.multiply(rows, scaled[None, :], out=dst[:, :left])
             np.multiply(rows, self.v[None, left:right], out=dst[:, left:right])
-            on_or_above = np.less_equal.outer(np.arange(top, bottom), np.arange(left, right))
-            np.copyto(dst[:, left:right], 0, where=on_or_above)
+            band = max(left, min(top, right))  # every column left of top is below every row's diagonal
+            on_or_above = np.less_equal.outer(np.arange(top, bottom), np.arange(band, right))
+            np.copyto(dst[:, band:right], 0, where=on_or_above)
             dst[:, right:] = 0
         diag = np.arange(lo, min(hi, cols))
         out[diag - lo, diag] = self.d[diag]

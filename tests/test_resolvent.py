@@ -262,7 +262,16 @@ class TestResidual:
 
     @pytest.mark.parametrize(
         "where",
-        ["first row", "last row", "last corner", "block edge", "above diagonal", "far above"],
+        [
+            "first row",
+            "last row",
+            "last corner",
+            "block edge",
+            "above diagonal",
+            "far above",
+            "top right",
+            "edge far right",
+        ],
     )
     @pytest.mark.parametrize("lam", [0.8 + 0.6j, -1.0])
     def test_every_perturbed_entry_counts(self, monkeypatch, lam, where):
@@ -277,6 +286,9 @@ class TestResidual:
             "block edge": (edge, edge - 1),
             "above diagonal": (0, 5),
             "far above": (3, 200),
+            # right of every block's end but the last's: the walk must widen
+            "top right": (0, n - 1),
+            "edge far right": (edge, n - 1),
         }[where]
         assert residual(lam, n) <= 8 * n * EPS
         build = ceslab.resolvent.resolvent_operator

@@ -573,6 +573,25 @@ class TestSweep:
         for rec in records:
             assert rec.in_disk == (abs(rec.lam - 1.0) <= 1.0 + 1e-12)
 
+    def test_ces0_sweep_scans_each_resolvent_once(self, monkeypatch):
+        # the regular pass leaves the column scan to the operator pass, and
+        # its records are bit for bit those of a regular pass that scans too
+        import ceslab.spectra
+
+        grid = GridSpec(-0.5, 2.5, -1.5, 1.5, 0.75)
+        scan, reports = ceslab.spectra._ces0_column_sup, ceslab.spectra._norm_reports
+        scanned = []
+
+        def counting_scan(A):
+            scanned.append(A.n)
+            return scan(A)
+
+        monkeypatch.setattr(ceslab.spectra, "_ces0_column_sup", counting_scan)
+        records = sweep(ces0(), grid, [8, 32], seed=3)
+        assert sorted(scanned) == sorted(r.n for r in records)
+        monkeypatch.setattr(ceslab.spectra, "_norm_reports", lambda *args, spikes=True: reports(*args))
+        assert sweep(ces0(), grid, [8, 32], seed=3) == records
+
     def test_deterministic_given_seed(self):
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
         first = sweep(ces(2), grid, [8, 16], seed=42)
