@@ -268,62 +268,52 @@ def residual(lam, n):
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14);
     exact arithmetic would give zero.
 
-    R is the dense matrix under test; C is never formed.  A product with
-    C - lambda is an inclusive running sum less lambda times R: row i of
-    (C - lambda) R is (1/i) sum_{k<=i} R_k - lambda R_i, and column j of
-    R (C - lambda) is sum_{k>=j} R_{:,k}/k - lambda R_{:,j}.  Both are
-    taken over the blocks of b rows of ``row_spans``: the first as column
+    Neither R nor C is formed.  R is streamed from its generators in the
+    blocks of b rows of ``row_spans``; R is lower triangular, so block
+    (lo, hi) ends at column hi.  A product with C - lambda is an inclusive
+    running sum less lambda times R: row i of (C - lambda) R is
+    (1/i) sum_{k<=i} R_k - lambda R_i, and column j of R (C - lambda) is
+    sum_{k>=j} R_{:,k}/k - lambda R_{:,j}.  The first is taken as column
     sums carried from block to block, the second as reverse sums along
     each row.  ||C - lambda|| has the closed form
-    max_i ((i - 1)/i + |1/i - lambda|).
-
-    Only the lower triangle is walked.  Block (lo, hi) stops left of
-    column ``reach``: hi, or one past the rightmost nonzero entry of the
-    rows seen so far where that lies further right.  Right of it every row
-    read so far is zero, and so are both products and the carried column
-    sums, so a lower-triangular R, as the closed form is, costs half the
-    entries.  An entry above the diagonal widens the walk for its own
-    block and all later ones, which then carry its column sums.  O(n^2)
-    time, and O(n b) memory besides R in two fixed complex buffers, one
-    for each product in turn and one for lambda R, and one real one.
+    max_i ((i - 1)/i + |1/i - lambda|).  O(n^2) time and O(n b) memory in
+    three fixed complex buffers, for the block (overwritten by
+    (C - lambda) R), for R (C - lambda) and for lambda R, and one real one.
     """
     lam = complex(lam)
-    # R stays dense: row blocks built from the generators saved 3 MB at n = 1024
-    # but slowed the benchmark's scan commands from 3.5-3.9 to 4.4-5.0 ms (2 CPUs)
-    R = resolvent_operator(lam, n).dense()
+    op = resolvent_operator(lam, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     inv = 1.0 / k
-    spans = list(row_spans(n, R.itemsize))
-    size = (spans[0][1] - spans[0][0]) * n  # no block holds more entries than the first, full width
-    flat = [np.empty(size, dtype=R.dtype) for _ in range(2)]
-    modulus = np.empty(size)
-    carry = np.zeros(n, dtype=R.dtype)  # column sums of the rows of R above the block
+    spans = list(row_spans(n, op.d.itemsize))
+    size = max((hi - lo) * hi for lo, hi in spans)
+    # one allocation for the three complex buffers and the real one: once freed,
+    # glibc's malloc keeps a chunk this size for the next call, while four
+    # separate ones were trimmed back to the system and faulted in each call
+    raw = np.empty(7 * size)
+    flat = np.split(raw[: 6 * size].view(np.complex128), 3)
+    modulus = raw[6 * size :]
+    carry = np.zeros(n, dtype=op.d.dtype)  # column sums of the rows of R above the block
     left = right = size_r = 0.0
-    reach = 0
     for lo, hi in spans:
-        reach = max(reach, hi)
-        if R[lo:hi, reach:].any():  # an entry above the diagonal widens the walk
-            reach += int(np.flatnonzero(R[lo:hi, reach:].any(axis=0))[-1]) + 1
-        block = R[lo:hi, :reach]
-        # contiguous views of fixed buffers: temporaries of a new width per block cost RSS
-        product, scaled = (a[: block.size].reshape(block.shape) for a in flat)
+        # contiguous views of the fixed buffers: temporaries of a new width per block cost RSS
+        block, product, scaled = (a[: (hi - lo) * hi].reshape(hi - lo, hi) for a in flat)
+        op._fill_rows(block, lo)
         size_r = max(size_r, _max_abs_row_sum(block, modulus))
         np.multiply(block, lam, out=scaled)
-        # (C - lambda) R: column sums of the rows up to each row
-        np.copyto(product, block)
-        product[0] += carry[:reach]
-        np.cumsum(product, axis=0, out=product)
-        carry[:reach] = product[-1]
-        product *= inv[lo:hi, None]
-        product -= scaled
-        product.reshape(-1)[lo :: reach + 1] -= 1.0  # the entries (i, i) of the block
-        left = max(left, _max_abs_row_sum(product, modulus))
         # R (C - lambda): sums along each row of R_{:,k}/k from column j on
-        np.multiply(block, inv[:reach], out=product)
+        np.multiply(block, inv[:hi], out=product)
         np.cumsum(product[:, ::-1], axis=1, out=product[:, ::-1])
         product -= scaled
-        product.reshape(-1)[lo :: reach + 1] -= 1.0
+        product.reshape(-1)[lo :: hi + 1] -= 1.0  # the entries (i, i) of the block
         right = max(right, _max_abs_row_sum(product, modulus))
+        # (C - lambda) R, in place of the block: column sums of the rows up to each row
+        block[0] += carry[:hi]
+        np.cumsum(block, axis=0, out=block)
+        carry[:hi] = block[-1]
+        block *= inv[lo:hi, None]
+        block -= scaled
+        block.reshape(-1)[lo :: hi + 1] -= 1.0
+        left = max(left, _max_abs_row_sum(block, modulus))
     size_a = float(np.max((k - 1.0) / k + np.abs(inv - lam)))
     return float(max(left, right) / (size_a * size_r))
 

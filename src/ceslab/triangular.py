@@ -160,7 +160,11 @@ class LowerTriangularMatrix:
         boolean mask of the entries on or above the diagonal, has at most
         (bottom - top)^2 entries.
         """
-        out = np.empty((hi - lo, cols), dtype=self.d.dtype)
+        return self._fill_rows(np.empty((hi - lo, cols), dtype=self.d.dtype), lo)
+
+    def _fill_rows(self, out, lo):
+        """:meth:`row_block` written into ``out``, whose shape gives hi - lo and cols."""
+        hi, cols = lo + out.shape[0], out.shape[1]
         starts = self.starts
         ends = starts[1:] + (self.n,)
         scaled = self.v[:0]  # v_j, j < cols, of the blocks already passed, in this block's scale
@@ -188,7 +192,7 @@ class LowerTriangularMatrix:
         return out
 
     def dense(self):
-        """The dense (n, n) array of a single matrix: :meth:`row_block` of all its rows."""
+        """The dense (n, n) array of a single matrix, for tests: :meth:`row_block` of all rows."""
         return self.row_block(0, self.n, self.n)
 
     def is_real(self):

@@ -15,7 +15,7 @@ from ceslab import (
     residual,
     resolvent_operator,
 )
-from ceslab.triangular import _ROW_BLOCK_BYTES
+from ceslab.triangular import _ROW_BLOCK_BYTES, LowerTriangularMatrix, row_spans
 from conftest import cesaro_section, log_domain_e, random_vector, sample_lambda
 
 EPS = np.finfo(np.float64).eps
@@ -250,57 +250,49 @@ class TestResidual:
         assert abs(ours - dense) <= 4 * n * EPS
 
     def test_holds_little_besides_r(self):
-        # the dense R alone takes 16 MiB at n = 1024; each row block's
-        # temporaries are a few times _ROW_BLOCK_BYTES
+        # the dense R alone would take 256 MiB at n = 4096; R is streamed
+        # from its O(n) generators a few rows at a time
         tracemalloc.start()
         try:
-            residual(0.8 + 0.6j, 1024)
+            residual(0.8 + 0.6j, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20 + 2 * 2**20
+        assert peak <= 4 * 2**20
 
-    @pytest.mark.parametrize(
-        "where",
-        [
-            "first row",
-            "last row",
-            "last corner",
-            "block edge",
-            "above diagonal",
-            "far above",
-            "top right",
-            "edge far right",
-        ],
-    )
+    @pytest.mark.parametrize("lam", [0.8 + 0.6j, -1.0, SEVERAL_SCALE_BLOCKS])
+    def test_row_blocks_are_zero_above_the_diagonal(self, lam):
+        # residual() reads block (lo, hi) only up to column hi
+        n = 2 * self.FULL_BLOCK + 1
+        R = resolvent_operator(lam, n)
+        for lo, hi in row_spans(n, 16):
+            block = R.row_block(lo, hi, n)
+            above = np.arange(lo, hi)[:, None] < np.arange(n)[None, :]
+            assert np.all(block[above] == 0)
+
+    @pytest.mark.parametrize("where", ["first row", "last row", "last corner", "block edge"])
     @pytest.mark.parametrize("lam", [0.8 + 0.6j, -1.0])
     def test_every_perturbed_entry_counts(self, monkeypatch, lam, where):
-        import ceslab.resolvent
-
-        n = 2 * self.FULL_BLOCK + 1  # several row blocks, and room for column 200
+        n = 2 * self.FULL_BLOCK + 1  # several row blocks
         edge = _ROW_BLOCK_BYTES // (16 * n)  # the first row of the second block
         i, j = {
             "first row": (0, 0),
             "last row": (n - 1, 0),
             "last corner": (n - 1, n - 1),
             "block edge": (edge, edge - 1),
-            "above diagonal": (0, 5),
-            "far above": (3, 200),
-            # right of every block's end but the last's: the walk must widen
-            "top right": (0, n - 1),
-            "edge far right": (edge, n - 1),
         }[where]
         assert residual(lam, n) <= 8 * n * EPS
-        build = ceslab.resolvent.resolvent_operator
+        shift = 1e-6 * np.abs(resolvent_operator(lam, n).dense()).max()
+        fill, reads = LowerTriangularMatrix._fill_rows, []
 
-        class Perturbed:
-            def __init__(self, lam, n):
-                self.R = build(lam, n)
+        def perturbed(self, out, lo):
+            """Every row block of R, with entry (i, j) moved by 1e-6 max |R|."""
+            fill(self, out, lo)
+            if lo <= i < lo + out.shape[0] and j < out.shape[1]:
+                out[i - lo, j] += shift
+                reads.append(lo)
+            return out
 
-            def dense(self):
-                R = self.R.dense()
-                R[i, j] += 1e-6 * np.abs(R).max()
-                return R
-
-        monkeypatch.setattr(ceslab.resolvent, "resolvent_operator", Perturbed)
+        monkeypatch.setattr(LowerTriangularMatrix, "_fill_rows", perturbed)
         assert residual(lam, n) > 8 * n * EPS
+        assert len(reads) == 1

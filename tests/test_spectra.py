@@ -201,6 +201,16 @@ class TestOperatorNorms:
             tracemalloc.stop()
         assert peak <= 1.5 * 2**20
 
+    def test_ces0_reports_reach_the_best_spike(self):
+        # here the seed-0 ascent alone stops at 1.8691 (n = 32) and 2.0578
+        # (n = 128); the best spike m e_m gives 1.9659 and 2.0849
+        lam, sizes = -0.5 + 0.1j, (32, 128)
+        records = sweep(ces0(), [lam], list(sizes))
+        for n, record in zip(sizes, records):
+            spike, _ = self.dense_column_sup(resolvent_operator(lam, n))
+            assert operator_norm_report(ces0(), resolvent_operator(lam, n)).value >= spike
+            assert record.n == n and record.op_norm_est >= spike
+
     def test_large_p_report_is_finite_and_below_its_upper_bound(self):
         # the plain 50-norm of R x overflows here; the estimate must not
         space, R = lp(50), resolvent_operator(0.34 + 0.002j, 256)

@@ -17,10 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import contextlib, io, json
 import tracer
-from ceslab import cli
+from ceslab import cli, resolvent_operator
 
 spans = tracer.Tracer()
 tracer.install(spans)
+# no command forms a dense matrix; the dense() wrapper still has to record one
+resolvent_operator(-1 + 0.5j, 16).dense()
 commands = [
     ["norms", "--sizes=8,80"],
     ["verify", "--lambda=-1+0.5i", "--n=16"],
