@@ -7,12 +7,12 @@ growth of resolvent-norm estimates across increasing truncation sizes is an
 honest directional proxy: bounded inside the resolvent set, growing inside
 the open disk.
 
-Operator norms are exact where a closed form exists (max row sums on the
-max-norm spaces) and otherwise certified lower bounds, paired with a
-row-sum-style upper bound where one is available.  In l^2 they come from
-:func:`_lockstep_lanczos`, thick-restarted Lanczos bidiagonalization of a
-whole chunk, run until each Ritz residual is at the rounding level; in the
-other spaces from a dual-exponent ascent iteration.  Both use numpy alone.
+Operator norms are exact where a closed form exists (max row sums, the
+ces(0) majorant sum of a positive operator), else certified lower bounds
+with an upper bound where one is known, in the max-norm spaces the regular
+norm.  In l^2 they come from :func:`_lockstep_lanczos`, thick-restarted
+Lanczos bidiagonalization of a whole chunk, run until each Ritz residual is
+at the rounding level; elsewhere from a dual-exponent ascent.  Both use numpy.
 
 There is one norm-report path, :func:`_norm_reports`, for one operator or
 a sweep chunk of L of one size, always given as one matrix with (L, n)
@@ -129,12 +129,12 @@ def in_spectrum(space, lam):
 class NormEstimate:
     """A norm estimate with its provenance.
 
-    ``value`` is exact for the max-norm row sums and otherwise a certified
-    lower bound, the norm ratio at an actual vector.  The Lanczos path (l^2)
-    reports the norm ratio at its unit top Ritz vector: the largest singular
-    value to rounding when the Ritz residual passed its test, and with
-    ``converged`` false when the product cap came first.  ``upper`` is a
-    row-sum-based upper bound when one is available.
+    ``value`` is exact for the max-norm row sums and the ces(0) majorant
+    sum of a positive A, else a certified lower bound, the norm ratio at an
+    actual vector; in l^2 the ratio at the unit top Ritz vector, with
+    ``converged`` false when the product cap came before the residual test.
+    ``upper`` is an upper bound when one is available: colmax^(1/p)
+    rowmax^(1/p') in l^p, || |A| || to rounding in the max-norm spaces.
     """
 
     value: float
@@ -345,12 +345,14 @@ def _lockstep_ascent(space, A, starts):
 
 
 def _ces0_column_sup(A):
-    # best single-column input: sup_m m * || averages of |A e_m| ||_max,
-    # exact over the spike directions m e_m of the ces(0) unit sphere
+    # the best spike, sup_m m || averages of |A e_m| ||_max, and the ces(0)
+    # norm of |A|: by LP duality max{b.x : x >= 0, Cx <= 1}, b a row of C|A|,
+    # is the sum of b's least nonincreasing majorant, max_{j >= m} b_j
     absA = A.modulus()
     rows = np.arange(1.0, A.n + 1.0)
     sums = np.zeros(A.n)  # column sums of the rows of |A| above the block
     best_averages = np.zeros(A.n)
+    regular = 0.0
     for lo, hi in row_spans(A.n, absA.d.itemsize):
         block = absA.row_block(lo, hi, hi)  # columns from hi on are 0 in these rows
         block[0] += sums[:hi]
@@ -358,23 +360,25 @@ def _ces0_column_sup(A):
         sums[:hi] = block[-1]
         block /= rows[lo:hi, None]  # the running averages down each column
         np.maximum(best_averages[:hi], block.max(axis=0), out=best_averages[:hi])
+        np.maximum.accumulate(block[:, ::-1], axis=1, out=block[:, ::-1])  # majorants
+        regular = max(regular, float(block.sum(axis=1).max()))
     per_column = best_averages * rows
     m_best = int(np.argmax(per_column))
     spike = np.zeros(A.n, dtype=np.complex128)
     spike[m_best] = m_best + 1.0
-    return float(per_column[m_best]), spike
+    return float(per_column[m_best]), spike, regular
 
 
-def _norm_reports(space, A, seeds, extra_starts, spikes=True):
+def _norm_reports(space, A, seeds, extra_starts):
     """Norm reports of the L matrices of the stack A, acting from ``space`` to itself.
 
     ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
     and ``extra_starts[i]`` adds ascent starts of its own (l^2 runs Lanczos
     and has none).  The max-norm row sums and the l^p upper bound
     colmax^(1/p) rowmax^(1/p'), rounded outward by _UPPER_SLACK_NEPS n eps,
-    come from the stack.  One loop turns the Lanczos or ascent results
-    into reports; ces(0) reports take the exact best spike start when it
-    beats the ascent, unless ``spikes`` is false.  Where B^q overflows, with
+    come from the stack, || |A| || and the best spike from the ces(0) column
+    scan; a ces(0) stack that is its own modulus is exact and runs no ascent.
+    One loop turns the results into reports.  Where B^q overflows, with
     B = m 2^e the largest absolute row or column sum and q the largest
     finite one of p, p' and 2, the matrix is scaled by 2^-e (exact) and its
     report back by 2^e; where no B^q overflows the stack is used as given.
@@ -395,7 +399,13 @@ def _norm_reports(space, A, seeds, extra_starts, spikes=True):
         rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
     slack = 1.0 + _UPPER_SLACK_NEPS * A.n * np.finfo(float).eps
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p)) * slack).tolist()
-    if kind == "lp" and p == 2.0:
+    if kind == "ces0":
+        scans = [_ces0_column_sup(A[i]) for i in range(len(seeds))]
+        uppers = [regular for *_, regular in scans]
+    exact = kind == "ces0" and A.d.dtype.kind == "f" and min(map(np.min, (A.d, A.u, A.v))) >= 0
+    if exact:
+        results, method = [(v, None, True) for v in uppers], "majorant"
+    elif kind == "lp" and p == 2.0:
         if A.is_real():  # a real stack runs in real arithmetic
             A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
         results, method = _lockstep_lanczos(A, seeds), "lanczos"
@@ -404,11 +414,10 @@ def _norm_reports(space, A, seeds, extra_starts, spikes=True):
         results, method = _lockstep_ascent(space, A, starts), "ascent"
     reports = []
     for i, (value, vector, converged) in enumerate(results):
-        spike_value, spike = _ces0_column_sup(A[i]) if kind == "ces0" and spikes else (0.0, None)
-        if spike_value > value:
-            value, vector = spike_value, spike
-        upper = uppers[i] if kind == "lp" else None
-        reports.append(NormEstimate(value, upper, method, False, converged, vector))
+        if kind == "ces0" and not exact and scans[i][0] > value:
+            value, vector = scans[i][:2]
+        upper = uppers[i] if kind in ("lp", "ces0") else None
+        reports.append(NormEstimate(value, upper, method, exact, converged, vector))
     for r, e in zip(reports, shifts.tolist()):
         r.value, r.upper = float(np.ldexp(r.value, e)), r.upper and float(np.ldexp(r.upper, e))
     return reports
@@ -417,7 +426,7 @@ def _norm_reports(space, A, seeds, extra_starts, spikes=True):
 def operator_norm_report(space, A, seed=0):
     """Operator norm of A acting from ``space`` to itself: the L = 1 report.
 
-    Exact for the max-norm spaces (largest absolute row sum); in l^2 the
+    Exact for the max-norm row sums and a positive A in ces(0); in l^2 the
     largest singular value to rounding, from Lanczos started at a vector
     seeded by ``seed``; elsewhere the best lower bound found by
     dual-exponent ascent with restarts seeded by ``seed``.  The regular
@@ -504,27 +513,29 @@ class GrowthVerdict:
 def _sweep_task(space, n, chunk):
     """Records of one chunk of (lambda, seed, in_disk) tasks at size n.
 
-    One :func:`_norm_reports` call gives every operator norm of the chunk,
-    and a second every regular norm.  Where that runs an ascent it also
-    starts at |x*|, x* its operator's best vector; no other estimator reads
-    it.  On these lattices ||R|| <= || |R| ||, so the operator norm's lower
-    bound is one of the regular norm too, and the record keeps the larger:
-    reg >= op even where the two agree to rounding.  So the regular pass
-    skips the ces(0) column scan: it reads |R| as the operator pass does,
-    and the operator report already holds its spike value bit for bit.
+    One :func:`_norm_reports` call gives every operator norm of the chunk;
+    in the max-norm spaces each report's upper bound is the regular norm
+    || |R| || to rounding.  In l^p and ces(p) a second call gives the
+    regular norms; where that runs an ascent it also starts at |x*|, x* its
+    operator's best vector.  On these lattices ||R|| <= || |R| ||, so the
+    operator norm's lower bound is one of the regular norm too, and the
+    record keeps the larger: reg >= op even where the two agree to rounding.
     """
     R = stack([resolvent_operator(lam, n) for lam, _, _ in chunk])
     seeds = [seed for _, seed, _ in chunk]
     ops = _norm_reports(space, R, seeds, [()] * len(chunk))
-    escorts = [(np.abs(op.best_vector),) if op.method == "ascent" else () for op in ops]
-    regs = _norm_reports(space, R.modulus(), seeds, escorts, spikes=False)
+    if space.exponent == np.inf:
+        regs = [op.upper for op in ops]
+    else:
+        escorts = [(np.abs(op.best_vector),) if op.method == "ascent" else () for op in ops]
+        regs = [reg.value for reg in _norm_reports(space, R.modulus(), seeds, escorts)]
     return [
         SweepRecord(
             lam=lam,
             n=n,
             gamma=gamma_of(lam),
             op_norm_est=op.value,
-            reg_norm_est=max(reg.value, op.value),
+            reg_norm_est=max(reg, op.value),
             in_disk=in_disk,
         )
         for (lam, _, in_disk), op, reg in zip(chunk, ops, regs)
@@ -578,7 +589,7 @@ def sweep(space, grid, sizes, seed=0):
             (lam, seed + 1000003 * i + j, in_disk[i])
             for i, lam in enumerate(retained)
         ]
-        # k counts the starts of a regular-norm ascent, escort included
+        # an ascent's starts plus one escort (of l^p and ces(p) only) size the chunks
         k = ASCENT_RESTARTS + 1 + len(_vertex_starts(space, n))
         length = max(1, _LOCKSTEP_BYTES // (16 * k * n))
         for lo in range(0, len(tasks), length):

@@ -13,6 +13,7 @@ from ceslab import (
     SweepRecord,
     UnsupportedParameterError,
     apply,
+    c0,
     ces,
     ces0,
     cesaro_matrix,
@@ -37,7 +38,7 @@ from ceslab.spectra import (
     _lockstep_ascent,
     _norm_reports,
 )
-from conftest import random_triangular, sample_lambda
+from conftest import cesaro_section, random_triangular, sample_lambda
 
 EPS = np.finfo(float).eps
 
@@ -119,8 +120,10 @@ class TestOperatorNorms:
         assert est == pytest.approx(oracle, rel=1e-8)
 
     def test_ces0_norm_of_averaging_matrix(self):
-        value = operator_norm_report(ces0(), cesaro_matrix(40)).value
-        assert value == pytest.approx(1.0, rel=1e-12)
+        # C is its own modulus: its norm is the exact majorant sum, 1
+        for n in (16, 40, 256, 1024):
+            report = operator_norm_report(ces0(), cesaro_matrix(n))
+            assert report.method == "majorant" and report.value == report.upper == 1.0
 
     def test_lanczos_branch_matches_svd(self, rng):
         A = random_triangular(rng, 48, blocks=2)
@@ -157,20 +160,38 @@ class TestOperatorNorms:
         for budget in (1, 8 * 300 * 300):  # one row per block, one block
             monkeypatch.setattr(ceslab.triangular, "_ROW_BLOCK_BYTES", budget)
             scans.append(ceslab.spectra._ces0_column_sup(A))
-        (value, spike), (one_value, one_spike) = scans
+        (value, spike, regular), (one_value, one_spike, one_regular) = scans
         assert value == one_value and np.array_equal(spike, one_spike)
+        # each row's majorant is summed over the columns of its block
+        assert regular == pytest.approx(one_regular, rel=4 * 300 * EPS, abs=0)
 
     @staticmethod
-    def dense_column_sup(A):
-        """The largest m times the largest running average down column m of |A|, and m.
+    def dense_averages(A):
+        """C|A|, the running averages down the columns of |A|, formed densely.
 
-        |A| is the modulus of the generators, formed densely; for complex
-        A, np.abs of A.dense() rounds the entries differently.
+        |A| is the modulus of the generators; for complex A, np.abs of
+        A.dense() rounds the entries differently.
         """
-        k = np.arange(1.0, A.n + 1.0)
-        per_column = (np.cumsum(A.modulus().dense(), axis=0) / k[:, None]).max(axis=0) * k
+        return np.cumsum(A.modulus().dense(), axis=0) / np.arange(1.0, A.n + 1.0)[:, None]
+
+    @classmethod
+    def dense_column_sup(cls, A):
+        """The largest m times the largest running average down column m of |A|, and m."""
+        per_column = cls.dense_averages(A).max(axis=0) * np.arange(1.0, A.n + 1.0)
         m = int(np.argmax(per_column))
         return per_column[m], m
+
+    @classmethod
+    def dense_majorant_sum(cls, A, from_left=False):
+        """The largest row sum of the least nonincreasing majorant of C|A|.
+
+        With ``from_left`` each row's running maximum is taken from the left
+        instead, a wrong majorant that the tests must tell apart.
+        """
+        B = cls.dense_averages(A)
+        if from_left:
+            return np.maximum.accumulate(B, axis=1).sum(axis=1).max()
+        return np.maximum.accumulate(B[:, ::-1], axis=1).sum(axis=1).max()
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 33, 129, 300])
@@ -185,10 +206,50 @@ class TestOperatorNorms:
         for rows in (n, 7, 1):
             monkeypatch.setattr(ceslab.triangular, "_ROW_BLOCK_BYTES", 8 * n * rows)
             for A in matrices:
-                value, spike = _ces0_column_sup(A)
+                value, spike, regular = _ces0_column_sup(A)
                 expected, m = self.dense_column_sup(A)
                 assert value == expected
                 assert np.flatnonzero(spike).tolist() == [m] and spike[m] == m + 1
+                # the same nonnegative terms, summed in another order
+                assert regular == pytest.approx(self.dense_majorant_sum(A), rel=4 * n * EPS)
+
+    @staticmethod
+    def linprog_norm(B):
+        """max over the rows b of B of max b.x subject to Cx <= 1, x >= 0, by linprog."""
+        from scipy.optimize import linprog
+
+        n = len(B)
+        values = []
+        for b in B:
+            result = linprog(-b, A_ub=cesaro_section(n), b_ub=np.ones(n), bounds=(0, None))
+            assert result.status == 0
+            values.append(-result.fun)
+        return max(values)
+
+    # inside the disk, near its edge on both sides, and far outside it
+    @pytest.mark.parametrize("lam", [-0.5 + 0.1j, 0.55 - 0.45j, 0.3 + 0.6j, 2.0 - 1.0j])
+    def test_ces0_regular_norm_is_the_linear_program(self, lam):
+        # the ces(0) norm of |R| is the largest value of the linear program
+        # of a row of C|R|; its dual value is the row's majorant sum
+        n = 36
+        R = resolvent_operator(lam, n)
+        want = self.linprog_norm(self.dense_averages(R))
+        report = operator_norm_report(ces0(), R.modulus())
+        assert report.method == "majorant" and report.exact and report.converged
+        assert report.value == report.upper == pytest.approx(want, rel=1e-12)
+        assert operator_norm_report(ces0(), R).upper == report.value
+        # a majorant taken from the left would not pass
+        assert self.dense_majorant_sum(R, from_left=True) > want * (1 + 1e-6)
+
+    def test_ces0_norm_of_a_positive_multiplier_is_exact(self, rng):
+        phi = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        D = diag_operator(phi).modulus()
+        report = operator_norm_report(ces0(), D)
+        want = self.linprog_norm(self.dense_averages(D))
+        assert report.exact and report.value == pytest.approx(want, rel=1e-12)
+        # a real operator with a negative entry still runs the ascent
+        C = cesaro_matrix(40)
+        assert operator_norm_report(ces0(), LowerTriangularMatrix(-C.d, C.u, C.v)).method == "ascent"
 
     def test_ces0_column_scan_holds_no_square_array(self):
         # all n columns of |R| at once would take 128 MiB at n = 4096
@@ -584,8 +645,9 @@ class TestSweep:
             assert rec.in_disk == (abs(rec.lam - 1.0) <= 1.0 + 1e-12)
 
     def test_ces0_sweep_scans_each_resolvent_once(self, monkeypatch):
-        # the regular pass leaves the column scan to the operator pass, and
-        # its records are bit for bit those of a regular pass that scans too
+        # the operator pass scans each resolvent once, and its upper bound is
+        # the exact norm of |R|: a record's regular norm is bit for bit the
+        # report of R.modulus() alone, or the operator norm where larger
         import ceslab.spectra
 
         grid = GridSpec(-0.5, 2.5, -1.5, 1.5, 0.75)
@@ -599,8 +661,31 @@ class TestSweep:
         monkeypatch.setattr(ceslab.spectra, "_ces0_column_sup", counting_scan)
         records = sweep(ces0(), grid, [8, 32], seed=3)
         assert sorted(scanned) == sorted(r.n for r in records)
-        monkeypatch.setattr(ceslab.spectra, "_norm_reports", lambda *args, spikes=True: reports(*args))
-        assert sweep(ces0(), grid, [8, 32], seed=3) == records
+        for rec in records:
+            R = resolvent_operator(rec.lam, rec.n)
+            reg = reports(ces0(), stack([R.modulus()]), [0], [()])[0].value
+            assert rec.reg_norm_est == max(reg, rec.op_norm_est)
+
+    @pytest.mark.parametrize("space", [linf(), c0(), ces0()], ids=str)
+    def test_max_norm_sweeps_make_one_pass_per_chunk(self, space, monkeypatch):
+        import ceslab.spectra
+
+        monkeypatch.setattr(ceslab.spectra, "_LOCKSTEP_BYTES", 2 * 16 * 16 * 16)
+        reports, calls, chunks = ceslab.spectra._norm_reports, [], []
+        task = ceslab.spectra._sweep_task
+
+        def counting_reports(*args):
+            calls.append(args[1].n)
+            return reports(*args)
+
+        def counting_task(space, n, chunk):
+            chunks.append(n)
+            return task(space, n, chunk)
+
+        monkeypatch.setattr(ceslab.spectra, "_norm_reports", counting_reports)
+        monkeypatch.setattr(ceslab.spectra, "_sweep_task", counting_task)
+        sweep(space, GridSpec(1.5, 2.5, 0.5, 1.5, 0.5), [8, 16], seed=9)
+        assert len(chunks) > 2 and calls == chunks
 
     def test_deterministic_given_seed(self):
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
