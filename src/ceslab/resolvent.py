@@ -207,14 +207,15 @@ def _first_overflow(log_prefix, n):
 def _generator_factors(lam, n):
     """The factors f_k and the blocked prefix products F_0..F_{n-1} of E.
 
-    Returns ``(f, v, starts, ratios)``: v holds F_{k-1} in the scale of
-    index k (see :class:`LowerTriangularMatrix`).  Raises ProductOverflowError at
-    the (row, col) of the first entry of E whose log-domain value is not
-    finite, and UnsupportedParameterError when lambda^2 is not.
+    Returns ``(f, v, starts, ratios, gamma)``: v holds F_{k-1} in the scale
+    of index k (see :class:`LowerTriangularMatrix`), gamma the checked
+    distance to the nearest pole.  Raises ProductOverflowError at the (row,
+    col) of the first entry of E whose log-domain value is not finite, and
+    UnsupportedParameterError when lambda^2 is not.
     """
     if n < 1:
         raise InvalidDimensionError(f"size must be >= 1, got {n}")
-    _require_off_sigma_zero(lam)
+    dist = _require_off_sigma_zero(lam)
     if not cmath.isfinite(lam * lam):
         raise UnsupportedParameterError(
             f"lambda={lam} is too large: lambda^2 is not a finite double"
@@ -225,7 +226,7 @@ def _generator_factors(lam, n):
     if located is not None:
         raise ProductOverflowError(*located)
     v, starts, ratios = _blocked_products(f, log_prefix.real)
-    return f, v, starts, ratios
+    return f, v, starts, ratios, dist
 
 
 def comparison_operator(lam, n):
@@ -237,7 +238,7 @@ def comparison_operator(lam, n):
     factor 1 - alpha/k is positive.
     """
     lam = complex(lam)
-    f, v, starts, ratios = _generator_factors(lam, n)
+    f, v, starts, ratios, _ = _generator_factors(lam, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     u = 1.0 / (k * (v * f))
     return LowerTriangularMatrix(np.zeros(n, dtype=np.complex128), u, v, starts, ratios)
@@ -250,11 +251,11 @@ def resolvent_operator(lam, n):
     with a_n = -1/(lambda^2 n F_n) and b_m = F_{m-1}, in O(n) storage.
     """
     lam = complex(lam)
-    f, v, starts, ratios = _generator_factors(lam, n)
-    d = diagonal_part(lam, n)
-    _check_diagonal_bound(lam, d, gamma(lam))
-    # a_i in the scale of index i: F_{i+1} = F_i f_{i+1} there
+    f, v, starts, ratios, dist = _generator_factors(lam, n)
     k = np.arange(1, n + 1, dtype=np.float64)
+    d = 1.0 / (1.0 / k - lam)  # diagonal_part, from the pole check already made
+    _check_diagonal_bound(lam, d, dist)
+    # a_i in the scale of index i: F_{i+1} = F_i f_{i+1} there
     u = -1.0 / (lam**2 * k * (v * f))
     return LowerTriangularMatrix(d, u, v, starts, ratios)
 

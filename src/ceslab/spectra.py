@@ -17,21 +17,21 @@ at the rounding level; elsewhere from a dual-exponent ascent.  Both use numpy.
 There is one norm-report path, :func:`_norm_reports`, for one operator or
 a sweep chunk of L of one size, always given as one matrix with (L, n)
 generators (:func:`~ceslab.triangular.stack`), stacked once per chunk.  It
-takes the row sums and l^p upper bounds from the stack, and runs Lanczos
-on one (L, n) block per step, or the block power method
-:func:`_lockstep_ascent` on one (k, L, n) block of iterates; both drop
-finished operators by indexing the stack.
+takes the row sums and l^p upper bounds from the modulus of the stack,
+and runs Lanczos on one (L, n) block per step, or the block power method
+:func:`_lockstep_ascent` on one (k, L, n) block of iterates, keeping one
+best per operator; both drop finished operators by indexing the stack.
 :mod:`ceslab.spaces` owns each norm's calculus (the norms of a vector or
 a stack, the ascent's norming functionals, dual maps and vertex starts), so
 the ascent never tests the space.  The disk's radius comes from the space's
 exponent.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
-``rmatvec`` (the adjoint), ``modulus()``, ``abs_row_sums()``,
-``abs_col_sums()``, ``row_block()`` and ``is_real()``, which the generator
-form of :class:`~ceslab.triangular.LowerTriangularMatrix` provides.  No
-estimator stores an operator densely: the ces(0) column scan reads |A| in
-the row blocks of ``row_spans`` and carries its column sums between them.
+``rmatvec`` (the adjoint), ``modulus()``, ``row_block()`` and
+``is_real()``, which the generator form of
+:class:`~ceslab.triangular.LowerTriangularMatrix` provides.  No estimator
+stores an operator densely: the ces(0) column scan reads |A| in the row
+blocks of ``row_spans`` and carries its column sums between them.
 """
 
 import logging
@@ -247,58 +247,52 @@ def _lockstep_lanczos(A, seeds):
             m = depth
 
 
-def _ascent_starts(space, n, seed, extra_starts):
-    """The start vectors of one ascent, as the rows of a (k, n) array.
+def _ascent_starts(space, n, seeds, escorts=None):
+    """The (k, L, n) start block of an ascent of L operators of size n.
 
-    In order: the ones vector, ASCENT_RESTARTS - 1 seeded random positive
-    vectors, the ``extra_starts`` of length n and the space's vertex starts
-    (:func:`~ceslab.spaces._vertex_starts`).
+    Block rows, in order: the ones vector, ASCENT_RESTARTS - 1 random
+    positive vectors (operator i's from its own generator seeded by
+    ``seeds[i]``), the (L, n) ``escorts`` if given, and the space's vertex
+    starts (:func:`~ceslab.spaces._vertex_starts`).
     """
-    starts = [np.ones(n)]
-    rng = np.random.default_rng(seed)
-    for _ in range(ASCENT_RESTARTS - 1):
-        starts.append(np.abs(rng.standard_normal(n)))
-    starts.extend(extra_starts)
-    starts.extend(_vertex_starts(space, n))
-    return np.array(starts)
+    L = len(seeds)
+    draws = [np.random.default_rng(s).standard_normal((ASCENT_RESTARTS - 1, n)) for s in seeds]
+    blocks = [np.ones((1, L, n)), np.abs(np.stack(draws, axis=1))]
+    if escorts is not None:
+        blocks.append(np.asarray(escorts)[None])
+    vertices = np.array(_vertex_starts(space, n)).reshape(-1, 1, n)
+    blocks.append(np.broadcast_to(vertices, (len(vertices), L, n)))
+    return np.concatenate(blocks)
 
 
 def _lockstep_ascent(space, A, starts):
     """Dual-exponent power ascents of the L matrices of the stack A, in lockstep.
 
-    ``starts[i]`` holds the (k_i, n) start vectors of operator i.  The
-    running iterates form one (k, L, n) block, so that every product is one
-    running sum over the whole block.  Each (start, operator) row runs the
-    rule of a single ascent (Higham, Numer. Math. 62, 1992) and keeps its
-    own best ratio: it runs while its ratio is finite and still rising by
-    more than ASCENT_RTOL and its next iterate has a positive norm.  Stopped
-    rows leave the block, and so does an operator once all its rows have
-    stopped; the stack is indexed down to the operators still running.
+    ``starts`` is a (k, L, n) block (:func:`_ascent_starts`), column i
+    operator i's, and so are the running iterates: every product is one
+    running sum over the block.  Each (start, operator) row runs the rule
+    of a single ascent (Higham, Numer. Math. 62, 1992): it runs while its
+    ratio is finite and still rising by more than ASCENT_RTOL and its next
+    iterate has a positive norm.  Stopped rows leave the block, and so does
+    an operator once all its rows have stopped; the stack is indexed down
+    to the operators still running.
 
     Every iterate is a unit vector, so each ratio is a certified lower
     bound.  Returns (value, best_vector, converged) per operator: the
-    largest ratio, the first iterate in start order that reached it (None
-    if no ratio was positive), and whether every row stopped within
-    ASCENT_MAX_ITER products.
+    largest ratio; the iterate of the earliest step that reached it, of
+    that step's running rows the first in start order (None if no ratio
+    was positive); and whether every row stopped within ASCENT_MAX_ITER
+    products.
     """
-    L, n = len(starts), A.n
-    k = max(len(s) for s in starts)
+    k, L, n = starts.shape
     # real operators with real starts keep real iterates
-    dtype = np.result_type(A.d, *starts)
-    X = np.zeros((k, L, n), dtype=dtype)
-    live = np.zeros((k, L), dtype=bool)
-    for i, s in enumerate(starts):
-        X[: len(s), i] = s
-        live[: len(s), i] = True
+    X = starts.astype(np.result_type(A.d, starts))
+    del starts  # as large as the iterates; _norm_reports passes it on without holding it
     scale, _ = _norms(space, X)
-    live &= scale > 0
+    live = scale > 0
     X /= np.where(live, scale, 1.0)[..., None]
     prev = np.full((k, L), -np.inf)
-    # best ratio and first iterate reaching it of every (operator, start);
-    # block row (j, i) keeps them at flat position slot[j, i] = i k + j
-    best = np.zeros(L * k)
-    best_x = np.zeros((L * k, n), dtype=dtype)
-    slot = np.arange(L * k).reshape(L, k).T
+    best, best_x = np.zeros(L), np.zeros((L, n), dtype=X.dtype)
     owner = np.arange(L)  # the operator of each block column
     converged = np.zeros(L, dtype=bool)
 
@@ -307,9 +301,12 @@ def _lockstep_ascent(space, A, starts):
             y = A.matvec(X)
             est, w = _norms(space, y)
             live &= np.isfinite(est)
-            better = live & (est > best[slot])
-            best[slot[better]] = est[better]
-            best_x[slot[better]] = X[better]
+            # each operator's best: the first running row with the top ratio, if larger
+            running = np.where(live, est, -np.inf)
+            row, top = running.argmax(axis=0), running.max(axis=0)
+            up = np.flatnonzero(top > best[owner])
+            best[owner[up]] = top[up]
+            best_x[owner[up]] = X[row[up], up]
             live &= est - prev > ASCENT_RTOL * np.maximum(est, 1.0)
             prev = est
             # step along the norm's subgradient, pulled back through A*
@@ -329,19 +326,12 @@ def _lockstep_ascent(space, A, starts):
                 if not len(keep):
                     break
                 order = np.argsort(~live[:, keep], axis=0, kind="stable")[:width]
-                rows = order, keep
-                X, prev, slot = X[rows], prev[rows], slot[rows]
+                X, prev = X[order, keep], prev[order, keep]
                 live = np.arange(width)[:, None] < counts[keep]
                 if len(keep) < len(owner):
                     owner = owner[keep]
                     A = A[keep]
-    # each operator's largest ratio and the first row in start order reaching it
-    best, best_x = best.reshape(L, k), best_x.reshape(L, k, n)
-    top = np.arange(L), best.argmax(axis=1)
-    return [
-        (float(v), x if v > 0 else None, bool(c))
-        for v, x, c in zip(best[top], best_x[top], converged)
-    ]
+    return [(float(v), x if v > 0 else None, bool(c)) for v, x, c in zip(best, best_x, converged)]
 
 
 def _ces0_column_sup(A):
@@ -369,14 +359,15 @@ def _ces0_column_sup(A):
     return float(per_column[m_best]), spike, regular
 
 
-def _norm_reports(space, A, seeds, extra_starts):
+def _norm_reports(space, A, seeds, escorts=None):
     """Norm reports of the L matrices of the stack A, acting from ``space`` to itself.
 
     ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
-    and ``extra_starts[i]`` adds ascent starts of its own (l^2 runs Lanczos
-    and has none).  The max-norm row sums and the l^p upper bound
-    colmax^(1/p) rowmax^(1/p'), rounded outward by _UPPER_SLACK_NEPS n eps,
-    come from the stack, || |A| || and the best spike from the ces(0) column
+    and row i of the (L, n) ``escorts`` is one more ascent start of its own
+    (:func:`_ascent_starts`); Lanczos ignores them.  The max-norm row sums
+    and the l^p upper bound colmax^(1/p) rowmax^(1/p'), rounded outward by
+    _UPPER_SLACK_NEPS n eps, come from the row and column sums of
+    ``A.modulus()``, || |A| || and the best spike from the ces(0) column
     scan; a ces(0) stack that is its own modulus is exact and runs no ascent.
     One loop turns the results into reports.  Where B^q overflows, with
     B = m 2^e the largest absolute row or column sum and q the largest
@@ -387,16 +378,18 @@ def _norm_reports(space, A, seeds, extra_starts):
     for seed in seeds:
         if seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {seed}")
-    rows = A.abs_row_sums().max(axis=-1)
+    absA, ones = A.modulus(), np.ones(A.n)
+    rows = absA.matvec(ones).max(axis=-1)
     if kind in ("linf", "c0"):
         return [NormEstimate(v, v, "rowsum", True, True) for v in rows.tolist()]
-    cols, p = A.abs_col_sums().max(axis=-1), space.exponent
+    cols, p = absA.rmatvec(ones).max(axis=-1), space.exponent
     big, q = np.maximum(rows, cols), max(x for x in (p, dual_exponent(p), 2.0) if x < np.inf)
     shifts = np.where(big > np.finfo(float).max ** (1 / q), np.frexp(big)[1], 0)
     if shifts.any():
         scale = np.ldexp(1.0, -shifts)[:, None]  # of d and u; 2^0 = 1 where B^q is finite
         A = LowerTriangularMatrix(A.d * scale, A.u * scale, A.v, A.starts, A.ratios)
-        rows, cols = A.abs_row_sums().max(axis=-1), A.abs_col_sums().max(axis=-1)
+        absA = A.modulus()
+        rows, cols = absA.matvec(ones).max(axis=-1), absA.rmatvec(ones).max(axis=-1)
     slack = 1.0 + _UPPER_SLACK_NEPS * A.n * np.finfo(float).eps
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p)) * slack).tolist()
     if kind == "ces0":
@@ -410,8 +403,8 @@ def _norm_reports(space, A, seeds, extra_starts):
             A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
         results, method = _lockstep_lanczos(A, seeds), "lanczos"
     else:
-        starts = [_ascent_starts(space, A.n, s, extra) for s, extra in zip(seeds, extra_starts)]
-        results, method = _lockstep_ascent(space, A, starts), "ascent"
+        results = _lockstep_ascent(space, A, _ascent_starts(space, A.n, seeds, escorts))
+        method = "ascent"
     reports = []
     for i, (value, vector, converged) in enumerate(results):
         if kind == "ces0" and not exact and scans[i][0] > value:
@@ -433,7 +426,7 @@ def operator_norm_report(space, A, seed=0):
     norm of A is the norm of ``A.modulus()``, the least positive operator
     dominating A on these coordinatewise lattices.
     """
-    return _norm_reports(space, stack([A]), [seed], [()])[0]
+    return _norm_reports(space, stack([A]), [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -516,18 +509,18 @@ def _sweep_task(space, n, chunk):
     One :func:`_norm_reports` call gives every operator norm of the chunk;
     in the max-norm spaces each report's upper bound is the regular norm
     || |R| || to rounding.  In l^p and ces(p) a second call gives the
-    regular norms; where that runs an ascent it also starts at |x*|, x* its
-    operator's best vector.  On these lattices ||R|| <= || |R| ||, so the
-    operator norm's lower bound is one of the regular norm too, and the
+    regular norms, after an operator ascent with the (L, n) escort block
+    |x*| of its best vectors x*.  On these lattices ||R|| <= || |R| ||, so
+    the operator norm's lower bound is one of the regular norm too, and the
     record keeps the larger: reg >= op even where the two agree to rounding.
     """
     R = stack([resolvent_operator(lam, n) for lam, _, _ in chunk])
     seeds = [seed for _, seed, _ in chunk]
-    ops = _norm_reports(space, R, seeds, [()] * len(chunk))
+    ops = _norm_reports(space, R, seeds)
     if space.exponent == np.inf:
         regs = [op.upper for op in ops]
     else:
-        escorts = [(np.abs(op.best_vector),) if op.method == "ascent" else () for op in ops]
+        escorts = np.abs([op.best_vector for op in ops]) if ops[0].method == "ascent" else None
         regs = [reg.value for reg in _norm_reports(space, R.modulus(), seeds, escorts)]
     return [
         SweepRecord(

@@ -141,12 +141,6 @@ class LowerTriangularMatrix:
             np.abs(self.d), np.abs(self.u), np.abs(self.v), self.starts, self.ratios
         )
 
-    def abs_row_sums(self):
-        return self.modulus().matvec(np.ones(self.n))
-
-    def abs_col_sums(self):
-        return self.modulus().rmatvec(np.ones(self.n))
-
     def row_block(self, lo, hi, cols):
         """Rows lo..hi-1 and columns 0..cols-1 of a single matrix, as a dense array.
 

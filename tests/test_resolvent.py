@@ -181,6 +181,18 @@ class TestResolventMatrix:
         manual = np.diag(d) - E / lam**2
         assert np.all(np.abs(R - manual) <= 4 * EPS * np.abs(R))
 
+    @pytest.mark.parametrize("lam", [1 + 2j, 0.34 + 0.002j, -0.5 + 0.1j])
+    def test_one_pole_check_per_build(self, monkeypatch, lam):
+        import ceslab.resolvent
+
+        calls, nearest = [], ceslab.resolvent.nearest_pole
+        monkeypatch.setattr(
+            ceslab.resolvent, "nearest_pole", lambda z: calls.append(z) or nearest(z)
+        )
+        R = resolvent_operator(lam, 64)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(R.d, diagonal_part(lam, 64), strict=True)
+
     def test_matches_triangular_solve_oracle(self, rng):
         for _ in range(5):
             lam = sample_lambda(rng)

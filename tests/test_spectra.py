@@ -30,7 +30,9 @@ from ceslab import (
     stack,
     sweep,
 )
+from ceslab.spaces import _vertex_starts
 from ceslab.spectra import (
+    ASCENT_RESTARTS,
     ASCENT_RTOL,
     _UPPER_SLACK_NEPS,
     _ascent_starts,
@@ -116,7 +118,7 @@ class TestOperatorNorms:
         # for p = 2 the ascent can be cross-checked against the SVD oracle
         C = cesaro_matrix(6)
         oracle = svdvals(C.dense())[0]
-        est = _lockstep_ascent(lp(2), stack([C]), [_ascent_starts(lp(2), 6, 0, ())])[0][0]
+        est = _lockstep_ascent(lp(2), stack([C]), _ascent_starts(lp(2), 6, [0]))[0][0]
         assert est == pytest.approx(oracle, rel=1e-8)
 
     def test_ces0_norm_of_averaging_matrix(self):
@@ -276,7 +278,8 @@ class TestOperatorNorms:
         # the plain 50-norm of R x overflows here; the estimate must not
         space, R = lp(50), resolvent_operator(0.34 + 0.002j, 256)
         report = operator_norm_report(space, R)
-        rows, cols = R.abs_row_sums().max(), R.abs_col_sums().max()
+        absR = R.modulus()
+        rows, cols = absR.matvec(np.ones(256)).max(), absR.rmatvec(np.ones(256)).max()
         slack = 1 + _UPPER_SLACK_NEPS * 256 * EPS  # the bound is rounded outward
         upper = cols ** (1 / 50) * rows ** (1 / dual_exponent(50)) * slack
         assert report.upper == pytest.approx(upper, rel=1e-14)
@@ -321,7 +324,7 @@ class TestOperatorNorms:
 
     def test_ascent_never_records_an_overflowed_ratio(self):
         S = self._scaled(resolvent_operator(0.7 + 0.9j, 64), 1e307)
-        starts = [_ascent_starts(ces0(), 64, 0, ())]
+        starts = _ascent_starts(ces0(), 64, [0])
         value, vector, _ = _lockstep_ascent(ces0(), stack([S]), starts)[0]
         assert np.isfinite(value)
         ratio = norm(ces0(), S.matvec(vector)) / norm(ces0(), vector)
@@ -334,15 +337,15 @@ class TestOperatorNorms:
         # 2^900 R1 is scaled for the norm; R2 and R3 in its chunk must not be
         R1, R2, R3 = (resolvent_operator(lam, n) for lam in (0.7 + 0.9j, 0.45 + 0.5j, 2 + 1j))
         big = self._scaled(R1, 2.0**900)
-        block = _norm_reports(space, stack([big, R2, R3]), [1, 2, 3], [()] * 3)
-        alone = _norm_reports(space, stack([big]), [1], [()])[0]
+        block = _norm_reports(space, stack([big, R2, R3]), [1, 2, 3])
+        alone = _norm_reports(space, stack([big]), [1])[0]
         assert (block[0].value, block[0].upper) == (alone.value, alone.upper)
-        own = _norm_reports(space, stack([R1]), [1], [()])[0]
+        own = _norm_reports(space, stack([R1]), [1])[0]
         assert block[0].value == pytest.approx(np.ldexp(own.value, 900), rel=1e-10)
         if space.exponent == 2.0 or space.kind == "ces0":  # exact under a power of 2
             assert block[0].value == np.ldexp(own.value, 900)
         for R, seed, report in zip((R2, R3), (2, 3), block[1:]):
-            single = _norm_reports(space, stack([R]), [seed], [()])[0]
+            single = _norm_reports(space, stack([R]), [seed])[0]
             assert (report.value, report.upper) == (single.value, single.upper)
             assert report.converged == single.converged
 
@@ -444,9 +447,44 @@ class TestAscentStarts:
     @pytest.mark.parametrize("n", [2, 3, 8, 128, 512, 1000])
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_no_start_repeats_another(self, space, n):
-        starts = _ascent_starts(space, n, 0, ())
+        starts = _ascent_starts(space, n, [0])[:, 0]
         directions = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
         assert len(np.unique(directions, axis=0)) == len(starts)
+
+    @staticmethod
+    def one_operator_starts(space, n, seed, escort):
+        # the rows of one operator as they were once built, one operator at a time
+        starts = [np.ones(n)]
+        rng = np.random.default_rng(seed)
+        for _ in range(ASCENT_RESTARTS - 1):
+            starts.append(np.abs(rng.standard_normal(n)))
+        starts.extend([] if escort is None else [escort])
+        starts.extend(_vertex_starts(space, n))
+        return np.array(starts)
+
+    @pytest.mark.parametrize("escorted", [False, True], ids=["plain", "escorted"])
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_block_column_is_each_operators_own_starts(self, rng, space, n, escorted):
+        seeds = [5, 0, 1000003]
+        escorts = np.abs(rng.standard_normal((3, n))) if escorted else None
+        block = _ascent_starts(space, n, seeds, escorts)
+        for i, seed in enumerate(seeds):
+            escort = None if escorts is None else escorts[i]
+            own = self.one_operator_starts(space, n, seed, escort)
+            assert block[:, i].dtype == own.dtype
+            np.testing.assert_array_equal(block[:, i], own, strict=True)
+
+    def test_ties_keep_the_earliest_step_and_the_first_start(self):
+        # 2I in ces(0) from the ones vector and 2 e_2, both of norm exactly 1:
+        # both ratios are exactly 2 at the first step, and the ones row's is
+        # again at the next, at e_1; the best is the ones vector
+        n = 16
+        A = LowerTriangularMatrix(np.full(n, 2.0), np.zeros(n), np.zeros(n))
+        starts = np.array([np.ones(n), np.where(np.arange(n) == 1, 2.0, 0.0)])[:, None]
+        value, vector, converged = _lockstep_ascent(ces0(), stack([A]), starts)[0]
+        assert value == 2.0 and converged
+        np.testing.assert_array_equal(vector, np.ones(n), strict=True)
 
 
 class TestLockstep:
@@ -465,20 +503,18 @@ class TestLockstep:
         operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
         operators += [resolvent_operator(0.45 + 0.5j, n), resolvent_operator(2 + 1j, n)]
         seeds = list(range(len(operators)))
-        # an escort start for every other operator, so the blocks differ in k
-        extra = [
-            (np.abs(rng.standard_normal(n)),) if i % 2 == 0 else ()
-            for i in range(len(operators))
-        ]
-        block = _norm_reports(space, stack(operators), seeds, extra)
-        single = [
-            _norm_reports(space, stack([A]), [s], [e])[0] for A, s, e in zip(operators, seeds, extra)
-        ]
-        assert {r.converged for r in single} == {True, False}
-        for b, s in zip(block, single):
-            assert b.value == pytest.approx(s.value, rel=4 * EPS, abs=0)
-            assert b.converged == s.converged
-            np.testing.assert_allclose(b.best_vector, s.best_vector, rtol=4 * EPS, atol=0)
+        # one run with an escort start for every operator, one with none
+        for escorts in (np.abs(rng.standard_normal((len(operators), n))), None):
+            block = _norm_reports(space, stack(operators), seeds, escorts)
+            single = [
+                _norm_reports(space, stack([A]), [s], None if escorts is None else escorts[[i]])[0]
+                for i, (A, s) in enumerate(zip(operators, seeds))
+            ]
+            assert {r.converged for r in single} == {True, False}
+            for b, s in zip(block, single):
+                assert b.value == pytest.approx(s.value, rel=4 * EPS, abs=0)
+                assert b.converged == s.converged
+                np.testing.assert_allclose(b.best_vector, s.best_vector, rtol=4 * EPS, atol=0)
 
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_block_matches_sequential_reference(self, rng, space, monkeypatch):
@@ -493,10 +529,10 @@ class TestLockstep:
             LowerTriangularMatrix(A.d / 1e4, A.u / 1e4, A.v, A.starts, A.ratios)
             for A in operators[:2]
         ]
-        starts = [_ascent_starts(space, 20, 0, ()) for _ in operators]
+        starts = _ascent_starts(space, 20, [0] * len(operators))
         block = _lockstep_ascent(space, stack(operators), starts)
         assert {converged for *_, converged in block} == {True, False}
-        for A, s, (value, vector, converged) in zip(operators, starts, block):
+        for A, s, (value, vector, converged) in zip(operators, starts.swapaxes(0, 1), block):
             ref_value, ref_converged = sequential_ascent(space, A, s, max_iter)
             assert value == pytest.approx(ref_value, rel=1e-12)
             assert converged == ref_converged
@@ -506,7 +542,7 @@ class TestLockstep:
     def test_values_are_ratios_at_their_vectors(self, rng):
         operators = [random_triangular(rng, 16, blocks=2) for _ in range(4)]
         for space in (lp(3), ces(2), ces0()):
-            reports = _norm_reports(space, stack(operators), range(4), [()] * 4)
+            reports = _norm_reports(space, stack(operators), range(4))
             for A, r in zip(operators, reports):
                 ratio = norm(space, A.matvec(r.best_vector)) / norm(space, r.best_vector)
                 assert r.value == pytest.approx(ratio, rel=1e-12)
@@ -520,9 +556,9 @@ class TestLockstepLanczos:
     @staticmethod
     def check_chunk(operators):
         seeds = list(range(7, 7 + len(operators)))
-        block = _norm_reports(lp(2), stack(operators), seeds, [()] * len(operators))
+        block = _norm_reports(lp(2), stack(operators), seeds)
         for A, seed, report in zip(operators, seeds, block):
-            single = _norm_reports(lp(2), stack([A]), [seed], [()])[0]
+            single = _norm_reports(lp(2), stack([A]), [seed])[0]
             exact = svdvals(A.dense())[0]
             assert report.method == "lanczos" and report.converged and single.converged
             assert report.value == pytest.approx(single.value, rel=1e-13, abs=0)
@@ -663,7 +699,7 @@ class TestSweep:
         assert sorted(scanned) == sorted(r.n for r in records)
         for rec in records:
             R = resolvent_operator(rec.lam, rec.n)
-            reg = reports(ces0(), stack([R.modulus()]), [0], [()])[0].value
+            reg = reports(ces0(), stack([R.modulus()]), [0])[0].value
             assert rec.reg_norm_est == max(reg, rec.op_norm_est)
 
     @pytest.mark.parametrize("space", [linf(), c0(), ces0()], ids=str)
@@ -726,8 +762,8 @@ class TestSweep:
                 seed = 9 + 1000003 * i + j
                 R = resolvent_operator(lam, n)
                 op = operator_norm_report(space, R, seed)
-                escort = () if op.best_vector is None else (np.abs(op.best_vector),)
-                reg = _norm_reports(space, stack([R.modulus()]), [seed], [escort])[0]
+                escort = None if op.best_vector is None else np.abs(op.best_vector)[None]
+                reg = _norm_reports(space, stack([R.modulus()]), [seed], escort)[0]
                 expected.append((lam, n, op.value, reg.value))
         assert [(r.lam, r.n) for r in records] == [e[:2] for e in expected]
         for rec, (_, _, op, reg) in zip(records, expected):
