@@ -6,8 +6,9 @@ Run from the repository root:
 
 For each sweep fixture it prints every (lambda, n) whose row changed, with
 the old and new norm estimates, and every lambda whose verdict changed; for
-the norms table, every (space, n) whose value changed.  A fixture that did
-not change is left as it was.
+the norms table, every (space, n) whose value changed; for commands.json,
+every command whose exit code or stdout changed.  A fixture that did not
+change is left as it was.
 """
 
 import csv
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import FIXTURES, GOLDEN, run  # noqa: E402
+from test_golden import COMMANDS, FIXTURES, GOLDEN, run  # noqa: E402
 
 
 def _sweep_moves(old, new):
@@ -58,6 +59,26 @@ def _norms_moves(old, new):
                 yield f"  {space} n={n}: {x!r} -> {y!r}"
 
 
+def _commands():
+    """Rewrite commands.json if any command's exit code or stdout moved, naming each."""
+    path = GOLDEN / "commands.json"
+    before = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    after = {}
+    for name, argv in COMMANDS.items():
+        code, output = run(argv)
+        after[name] = {"argv": list(argv), "exit": code, "stdout": output.decode("utf-8")}
+    if after == before:
+        print("commands.json: unchanged")
+        return
+    path.write_text(json.dumps(after, indent=1) + "\n", encoding="utf-8")
+    print(f"commands.json: {'rewritten' if before else 'written'}")
+    for name in before.keys() - after.keys():
+        print(f"  {name}: removed")
+    for name, entry in after.items():
+        if before and before.get(name) != entry:
+            print(f"  {name}: ceslab {' '.join(entry['argv'])} moved")
+
+
 def main():
     for name, argv in FIXTURES.items():
         path = GOLDEN / name
@@ -76,6 +97,7 @@ def main():
         moves = _norms_moves if name.endswith(".json") else _sweep_moves
         for line in moves(old, new):
             print(line)
+    _commands()
 
 
 if __name__ == "__main__":
