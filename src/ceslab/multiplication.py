@@ -24,8 +24,8 @@ EQUALITY_TOLERANCE = 1e-12
 
 
 def diag_operator(phi):
-    """The diagonal matrix of the multiplier sequence phi."""
-    phi = np.asarray(phi, dtype=np.complex128)
+    """The diagonal matrix of the multiplier sequence phi, real for a real phi."""
+    phi = np.asarray(phi)
     zero = np.zeros(phi.shape)
     return LowerTriangularMatrix(phi, zero, zero)
 
@@ -59,7 +59,7 @@ def diag_norm_equality_check(space, phi, seed=0):
     max|phi_k|; in the Cesaro spaces the common value is reported but not
     compared against the max (the finite sections need not realize it).
     """
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = np.asarray(phi)
     A = diag_operator(phi)
     op = operator_norm_report(space, A, seed).value
     reg = operator_norm_report(space, A.modulus(), seed).value

@@ -17,7 +17,8 @@ only, in the generator form of
 :class:`~ceslab.triangular.LowerTriangularMatrix`: F_k is kept as mantissas
 times one scale per block of indices, so the factors stay finite where the
 n^(+-alpha) growth of F_k over- or underflows, and products with the matrix,
-its adjoint and its modulus cost O(n) time and memory.
+its adjoint and its modulus cost O(n) time and memory.  At real lambda E and
+R are real, with float64 generators, and their consumers follow that dtype.
 """
 
 import cmath
@@ -162,9 +163,9 @@ def _blocked_products(f, log_abs):
     as the reciprocal of an actual modulus rather than from logs.
     """
     n = f.shape[0]
-    mant = np.empty(n, dtype=np.complex128)
+    mant = np.empty(n, dtype=f.dtype)
     starts, ratios = [], []
-    lo, head, ratio = 0, 1.0 + 0.0j, 1.0
+    lo, head, ratio = 0, 1.0, 1.0
     while lo < n:
         outside = np.abs(log_abs[lo:n] - log_abs[lo]) > _BLOCK_LOG_WINDOW
         hi = lo + int(np.argmax(outside)) if outside.any() else n
@@ -209,9 +210,10 @@ def _generator_factors(lam, n):
 
     Returns ``(f, v, starts, ratios, gamma)``: v holds F_{k-1} in the scale
     of index k (see :class:`LowerTriangularMatrix`), gamma the checked
-    distance to the nearest pole.  Raises ProductOverflowError at the (row,
-    col) of the first entry of E whose log-domain value is not finite, and
-    UnsupportedParameterError when lambda^2 is not.
+    distance to the nearest pole; at real lambda f and v are real, bit for
+    bit the real parts of the complex ones.  Raises ProductOverflowError at
+    the (row, col) of the first entry of E whose log-domain value is not
+    finite, and UnsupportedParameterError when lambda^2 is not.
     """
     if n < 1:
         raise InvalidDimensionError(f"size must be >= 1, got {n}")
@@ -225,6 +227,7 @@ def _generator_factors(lam, n):
     located = _first_overflow(log_prefix, n)
     if located is not None:
         raise ProductOverflowError(*located)
+    f = f.real if lam.imag == 0 else f  # real division would round near-pole factors otherwise
     v, starts, ratios = _blocked_products(f, log_prefix.real)
     return f, v, starts, ratios, dist
 
@@ -235,13 +238,13 @@ def comparison_operator(lam, n):
     Zero diagonal, and for m < n the entry u_n v_m with u_n = 1/(n F_n)
     and v_m = F_{m-1}; row 1 is identically zero.  For real lambda =
     1/alpha with 0 < alpha < 1 all entries are nonnegative, since every
-    factor 1 - alpha/k is positive.
+    factor 1 - alpha/k is positive.  Real at real lambda, else complex.
     """
     lam = complex(lam)
     f, v, starts, ratios, _ = _generator_factors(lam, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     u = 1.0 / (k * (v * f))
-    return LowerTriangularMatrix(np.zeros(n, dtype=np.complex128), u, v, starts, ratios)
+    return LowerTriangularMatrix(np.zeros(n, dtype=f.dtype), u, v, starts, ratios)
 
 
 def resolvent_operator(lam, n):
@@ -249,6 +252,7 @@ def resolvent_operator(lam, n):
 
     In generator form: the diagonal d and, for m < n, the entry a_n b_m
     with a_n = -1/(lambda^2 n F_n) and b_m = F_{m-1}, in O(n) storage.
+    Real at real lambda (d and a the real parts of their complex values), else complex.
     """
     lam = complex(lam)
     f, v, starts, ratios, dist = _generator_factors(lam, n)
@@ -257,6 +261,8 @@ def resolvent_operator(lam, n):
     _check_diagonal_bound(lam, d, dist)
     # a_i in the scale of index i: F_{i+1} = F_i f_{i+1} there
     u = -1.0 / (lam**2 * k * (v * f))
+    if f.dtype != d.dtype:  # real lambda
+        d, u = d.real, u.real
     return LowerTriangularMatrix(d, u, v, starts, ratios)
 
 
@@ -279,13 +285,14 @@ def residual(lam, n):
     each row.  ||C - lambda|| has the closed form
     max_i ((i - 1)/i + |1/i - lambda|).  O(n^2) time and O(n b) memory in
     three fixed complex buffers, for the block (overwritten by
-    (C - lambda) R), for R (C - lambda) and for lambda R, and one real one.
+    (C - lambda) R), for R (C - lambda) and for lambda R, and one real one;
+    complex at real lambda too, where R is real.
     """
     lam = complex(lam)
     op = resolvent_operator(lam, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     inv = 1.0 / k
-    spans = list(row_spans(n, op.d.itemsize))
+    spans = list(row_spans(n, np.dtype(np.complex128).itemsize))
     size = max((hi - lo) * hi for lo, hi in spans)
     # one allocation for the three complex buffers and the real one: once freed,
     # glibc's malloc keeps a chunk this size for the next call, while four
@@ -293,12 +300,12 @@ def residual(lam, n):
     raw = np.empty(7 * size)
     flat = np.split(raw[: 6 * size].view(np.complex128), 3)
     modulus = raw[6 * size :]
-    carry = np.zeros(n, dtype=op.d.dtype)  # column sums of the rows of R above the block
+    carry = np.zeros(n, dtype=np.complex128)  # column sums of the rows of R above the block
     left = right = size_r = 0.0
     for lo, hi in spans:
         # contiguous views of the fixed buffers: temporaries of a new width per block cost RSS
         block, product, scaled = (a[: (hi - lo) * hi].reshape(hi - lo, hi) for a in flat)
-        op._fill_rows(block, lo)
+        op.row_block(lo, hi, hi, out=block)
         size_r = max(size_r, _max_abs_row_sum(block, modulus))
         np.multiply(block, lam, out=scaled)
         # R (C - lambda): sums along each row of R_{:,k}/k from column j on

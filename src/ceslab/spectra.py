@@ -27,11 +27,12 @@ the ascent never tests the space.  The disk's radius comes from the space's
 exponent.
 
 Every estimator uses only a small operator interface: ``n``, ``matvec``,
-``rmatvec`` (the adjoint), ``modulus()``, ``row_block()`` and
-``is_real()``, which the generator form of
-:class:`~ceslab.triangular.LowerTriangularMatrix` provides.  No estimator
-stores an operator densely: the ces(0) column scan reads |A| in the row
-blocks of ``row_spans`` and carries its column sums between them.
+``rmatvec`` (the adjoint), ``modulus()`` and ``row_block()``, which the
+generator form of :class:`~ceslab.triangular.LowerTriangularMatrix`
+provides, and each follows the stack's dtype: a stack of resolvents at real
+lambda runs in real arithmetic.  No estimator stores an operator densely:
+the ces(0) column scan reads |A| in the row blocks of ``row_spans`` and
+carries its column sums between them.
 """
 
 import logging
@@ -399,8 +400,6 @@ def _norm_reports(space, A, seeds, escorts=None):
     if exact:
         results, method = [(v, None, True) for v in uppers], "majorant"
     elif kind == "lp" and p == 2.0:
-        if A.is_real():  # a real stack runs in real arithmetic
-            A = LowerTriangularMatrix(A.d.real, A.u.real, A.v.real, A.starts, A.ratios)
         results, method = _lockstep_lanczos(A, seeds), "lanczos"
     else:
         results = _lockstep_ascent(space, A, _ascent_starts(space, A.n, seeds, escorts))
@@ -504,7 +503,7 @@ class GrowthVerdict:
 
 # wrapped by perfbench/tracer.py, which times each call as span spectra.sweep_task
 def _sweep_task(space, n, chunk):
-    """Records of one chunk of (lambda, seed, in_disk) tasks at size n.
+    """Records of one chunk of (lambda, gamma, seed, in_disk) tasks at size n.
 
     One :func:`_norm_reports` call gives every operator norm of the chunk;
     in the max-norm spaces each report's upper bound is the regular norm
@@ -514,8 +513,8 @@ def _sweep_task(space, n, chunk):
     the operator norm's lower bound is one of the regular norm too, and the
     record keeps the larger: reg >= op even where the two agree to rounding.
     """
-    R = stack([resolvent_operator(lam, n) for lam, _, _ in chunk])
-    seeds = [seed for _, seed, _ in chunk]
+    R = stack([resolvent_operator(lam, n) for lam, *_ in chunk])
+    seeds = [seed for _, _, seed, _ in chunk]
     ops = _norm_reports(space, R, seeds)
     if space.exponent == np.inf:
         regs = [op.upper for op in ops]
@@ -526,12 +525,12 @@ def _sweep_task(space, n, chunk):
         SweepRecord(
             lam=lam,
             n=n,
-            gamma=gamma_of(lam),
+            gamma=gamma,
             op_norm_est=op.value,
             reg_norm_est=max(reg, op.value),
             in_disk=in_disk,
         )
-        for (lam, _, in_disk), op, reg in zip(chunk, ops, regs)
+        for (lam, gamma, _, in_disk), op, reg in zip(chunk, ops, regs)
     ]
 
 
@@ -565,22 +564,19 @@ def sweep(space, grid, sizes, seed=0):
     if not points:
         raise InvalidConfigError("empty lambda grid")
 
-    retained = []
+    retained = []  # (lambda, gamma, in_disk), each taken once per lambda
     for lam in points:
         g = gamma_of(lam)
         if g <= SWEEP_GAMMA_SKIP:
-            logger.info(
-                "skipping lambda=%s: gamma=%.3e within the pole shadow", lam, g
-            )
+            logger.info("skipping lambda=%s: gamma=%.3e within the pole shadow", lam, g)
             continue
-        retained.append(lam)
-    in_disk = [in_spectrum(space, lam) for lam in retained]
+        retained.append((lam, g, in_spectrum(space, lam)))
 
     records = {}
     for j, n in enumerate(sizes):
         tasks = [
-            (lam, seed + 1000003 * i + j, in_disk[i])
-            for i, lam in enumerate(retained)
+            (lam, g, seed + 1000003 * i + j, in_disk)
+            for i, (lam, g, in_disk) in enumerate(retained)
         ]
         # an ascent's starts plus one escort (of l^p and ces(p) only) size the chunks
         k = ASCENT_RESTARTS + 1 + len(_vertex_starts(space, n))

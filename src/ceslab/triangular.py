@@ -141,7 +141,7 @@ class LowerTriangularMatrix:
             np.abs(self.d), np.abs(self.u), np.abs(self.v), self.starts, self.ratios
         )
 
-    def row_block(self, lo, hi, cols):
+    def row_block(self, lo, hi, cols, out=None):
         """Rows lo..hi-1 and columns 0..cols-1 of a single matrix, as a dense array.
 
         Bit for bit ``dense()[lo:hi, :cols]``, but only this block is formed:
@@ -152,13 +152,10 @@ class LowerTriangularMatrix:
         columns from top on: every column left of top is below the diagonal
         of all these rows.  So the one temporary besides the result, a
         boolean mask of the entries on or above the diagonal, has at most
-        (bottom - top)^2 entries.
+        (bottom - top)^2 entries.  Written into ``out`` and returned, if given:
+        an array of shape (hi - lo, cols) whose dtype holds the matrix's.
         """
-        return self._fill_rows(np.empty((hi - lo, cols), dtype=self.d.dtype), lo)
-
-    def _fill_rows(self, out, lo):
-        """:meth:`row_block` written into ``out``, whose shape gives hi - lo and cols."""
-        hi, cols = lo + out.shape[0], out.shape[1]
+        out = np.empty((hi - lo, cols), dtype=self.d.dtype) if out is None else out
         starts = self.starts
         ends = starts[1:] + (self.n,)
         scaled = self.v[:0]  # v_j, j < cols, of the blocks already passed, in this block's scale
@@ -188,10 +185,6 @@ class LowerTriangularMatrix:
     def dense(self):
         """The dense (n, n) array of a single matrix, for tests: :meth:`row_block` of all rows."""
         return self.row_block(0, self.n, self.n)
-
-    def is_real(self):
-        factors = (self.d, self.u, self.v)
-        return not any(np.iscomplexobj(a) and np.any(a.imag) for a in factors)
 
     def __repr__(self):
         return f"LowerTriangularMatrix(n={self.n}, blocks={len(self.starts)})"

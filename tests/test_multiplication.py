@@ -24,6 +24,11 @@ class TestDiagOperator:
         y = apply(diag_operator(phi), np.ones(3))
         np.testing.assert_array_equal(y, phi.astype(complex))
 
+    def test_keeps_the_multipliers_dtype(self):
+        for phi in ([1.0, -0.5], np.arange(1, 4)):
+            assert diag_operator(phi).d.dtype == np.float64
+        assert diag_operator([1.0, 2j]).d.dtype == np.complex128
+
     def test_shares_representation_with_resolvent_diagonal(self):
         lam = -2.0 + 1.0j
         d = diagonal_part(lam, 8)

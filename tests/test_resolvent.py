@@ -212,6 +212,37 @@ class TestResolventMatrix:
         np.testing.assert_allclose(R.matvec(x), pieces, rtol=1e-12)
 
 
+class TestRealLambda:
+    """At real lambda E and R are real: the real parts of the complex build, bit for bit.
+
+    The oracle is the build at lambda + 1e-300 i, which takes the complex path
+    with every imaginary part rounded away.  The lambdas take in both sides of
+    the poles, one next to 1/3, and |alpha| = 666 and 1/200; at +-0.0015 the
+    factors span several scale blocks.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 512, 700])
+    @pytest.mark.parametrize("lam", [2.0, -1.0, 0.45, 0.85, 1 / 3 + 1e-6, 0.0015, -0.0015, -200.0])
+    @pytest.mark.parametrize("build", [resolvent_operator, comparison_operator])
+    def test_real_parts_of_the_complex_build(self, build, lam, n):
+        A, oracle = build(lam, n), build(complex(lam, 1e-300), n)
+        assert oracle.d.dtype == np.complex128
+        for mine, theirs in zip((A.d, A.u, A.v), (oracle.d, oracle.u, oracle.v)):
+            assert mine.dtype == np.float64
+            np.testing.assert_array_equal(mine.view(np.uint64), theirs.real.view(np.uint64))
+        assert (A.starts, A.ratios) == (oracle.starts, oracle.ratios)
+
+    @pytest.mark.parametrize("lam", [1 + 2j, 0.45 - 0.01j, -0.5 + 1e-300j])
+    def test_complex_lambda_builds_complex_matrices(self, lam):
+        for A in (resolvent_operator(lam, 16), comparison_operator(lam, 16)):
+            assert A.d.dtype == np.complex128  # d, u and v share one dtype
+
+    @pytest.mark.parametrize("lam", [2.0, 0.45, -0.0015])
+    def test_residual_at_real_lambda(self, lam):
+        # the real R is written into complex buffers and summed with a complex carry
+        assert residual(lam, 300) <= 8 * 300 * EPS
+
+
 class TestResidual:
     def test_tiny_at_hand_example(self):
         assert residual(-1.0, 2) <= 1e-15
@@ -295,16 +326,16 @@ class TestResidual:
         }[where]
         assert residual(lam, n) <= 8 * n * EPS
         shift = 1e-6 * np.abs(resolvent_operator(lam, n).dense()).max()
-        fill, reads = LowerTriangularMatrix._fill_rows, []
+        fill, reads = LowerTriangularMatrix.row_block, []
 
-        def perturbed(self, out, lo):
+        def perturbed(self, lo, hi, cols, out=None):
             """Every row block of R, with entry (i, j) moved by 1e-6 max |R|."""
-            fill(self, out, lo)
-            if lo <= i < lo + out.shape[0] and j < out.shape[1]:
+            out = fill(self, lo, hi, cols, out)
+            if lo <= i < hi and j < cols:
                 out[i - lo, j] += shift
                 reads.append(lo)
             return out
 
-        monkeypatch.setattr(LowerTriangularMatrix, "_fill_rows", perturbed)
+        monkeypatch.setattr(LowerTriangularMatrix, "row_block", perturbed)
         assert residual(lam, n) > 8 * n * EPS
         assert len(reads) == 1

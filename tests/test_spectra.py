@@ -593,7 +593,7 @@ class TestLockstepLanczos:
     def test_real_chunk(self, rng):
         operators = [random_triangular(rng, self.N, real=True, blocks=b) for b in (1, 2)]
         operators += [resolvent_operator(lam, self.N).modulus() for lam in (-1, 0.4 + 0.3j)]
-        assert all(A.is_real() for A in operators)
+        assert all(A.d.dtype == np.float64 for A in operators)
         self.check_chunk(operators)
 
     def test_near_degenerate_lambda_among_easy_ones(self):
@@ -621,6 +621,33 @@ class TestLockstepLanczos:
         # one depth per run (the chunk and each single run), one per restart
         restarts = len(depths) - (1 + len(lams))
         assert set(depths) == {20} and restarts > 0
+
+
+class TestRealStacks:
+    """A chunk of real-lambda resolvents is real, and its norms are those of the
+    complex stack with the same entries to a few eps."""
+
+    LAMBDAS = (-0.5, -0.1, 0.45, 0.85, 1.3, 2.0)
+
+    @staticmethod
+    def reports(space, R, seeds):
+        ops = _norm_reports(space, R, seeds)
+        escorts = np.abs([op.best_vector for op in ops])
+        return ops + _norm_reports(space, R.modulus(), seeds, escorts)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_norms_agree_with_the_complex_stack(self, space, n):
+        R = stack([resolvent_operator(lam, n) for lam in self.LAMBDAS])
+        assert R.d.dtype == np.float64
+        generators = (a.astype(np.complex128) for a in (R.d, R.u, R.v))
+        C = LowerTriangularMatrix(*generators, R.starts, R.ratios)
+        seeds = list(range(len(self.LAMBDAS)))
+        real, complex_ = self.reports(space, R, seeds), self.reports(space, C, seeds)
+        assert all(r.method == "ascent" for r in real[: len(seeds)])  # the operator pass
+        for a, b in zip(real, complex_):
+            assert abs(a.value - b.value) <= 8 * EPS * b.value
+            assert a.upper == b.upper  # from |R|, the same in both
 
 
 class TestGridSpec:
@@ -722,6 +749,21 @@ class TestSweep:
         monkeypatch.setattr(ceslab.spectra, "_sweep_task", counting_task)
         sweep(space, GridSpec(1.5, 2.5, 0.5, 1.5, 0.5), [8, 16], seed=9)
         assert len(chunks) > 2 and calls == chunks
+
+    def test_one_pole_distance_per_lambda(self, monkeypatch):
+        # sweep's pole-shadow test takes each lambda's gamma once, and each
+        # resolvent build makes its own pole check: nothing else asks
+        import ceslab.resolvent
+
+        calls, nearest = [], ceslab.resolvent.nearest_pole
+        monkeypatch.setattr(
+            ceslab.resolvent, "nearest_pole", lambda z: calls.append(z) or nearest(z)
+        )
+        grid = GridSpec(-0.5, 1.0, -0.5, 0.5, 0.5)  # the poles 0, 1/2 and 1 are skipped
+        records = sweep(lp(3), grid, [8, 16], seed=1)
+        assert len(records) == 2 * (len(grid.points()) - 3)
+        assert len(calls) == len(grid.points()) + len(records)
+        assert [r.gamma for r in records] == [ceslab.resolvent.gamma(r.lam) for r in records]
 
     def test_deterministic_given_seed(self):
         grid = GridSpec(1.5, 2.5, 0.5, 1.5, 0.5)
