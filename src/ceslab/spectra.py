@@ -9,10 +9,11 @@ the open disk.
 
 Operator norms are exact where a closed form exists (max row sums, the
 ces(0) majorant sum of a positive operator), else certified lower bounds
-with an upper bound where one is known, in the max-norm spaces the regular
-norm.  In l^2 they come from :func:`_lockstep_lanczos`, thick-restarted
-Lanczos bidiagonalization of a whole chunk, run until each Ritz residual is
-at the rounding level; elsewhere from a dual-exponent ascent.  Both use numpy.
+with an upper bound where one is known.  In l^2 they come from
+:func:`_lockstep_lanczos`, thick-restarted Lanczos bidiagonalization of a
+whole chunk, run until each Ritz residual is at the rounding level;
+elsewhere from a dual-exponent ascent.  Both use numpy.  Every report also
+carries the regular norm || |A| ||.
 
 There is one norm-report path, :func:`_norm_reports`, for one operator or
 a sweep chunk of L of one size, always given as one matrix with (L, n)
@@ -135,11 +136,15 @@ class NormEstimate:
     actual vector; in l^2 the ratio at the unit top Ritz vector, with
     ``converged`` false when the product cap came before the residual test.
     ``upper`` is an upper bound when one is available: colmax^(1/p)
-    rowmax^(1/p') in l^p, || |A| || to rounding in the max-norm spaces.
+    rowmax^(1/p') in l^p, || |A| || rounded outward in ces(0), the row sum
+    in l-infinity and c0.  ``regular``, never below ``value``, is || |A| ||:
+    exact in the max-norm spaces, else ``value`` if A is its own modulus or
+    an estimate like it on |A|.
     """
 
     value: float
     upper: float | None
+    regular: float
     method: str
     exact: bool
     converged: bool
@@ -360,20 +365,22 @@ def _ces0_column_sup(A):
     return float(per_column[m_best]), spike, regular
 
 
-def _norm_reports(space, A, seeds, escorts=None):
+def _norm_reports(space, A, seeds):
     """Norm reports of the L matrices of the stack A, acting from ``space`` to itself.
 
-    ``seeds[i]`` seeds operator i's random starts or Lanczos start vector,
-    and row i of the (L, n) ``escorts`` is one more ascent start of its own
-    (:func:`_ascent_starts`); Lanczos ignores them.  The max-norm row sums
-    and the l^p upper bound colmax^(1/p) rowmax^(1/p'), rounded outward by
-    _UPPER_SLACK_NEPS n eps, come from the row and column sums of
-    ``A.modulus()``, || |A| || and the best spike from the ces(0) column
-    scan; a ces(0) stack that is its own modulus is exact and runs no ascent.
-    One loop turns the results into reports.  Where B^q overflows, with
-    B = m 2^e the largest absolute row or column sum and q the largest
-    finite one of p, p' and 2, the matrix is scaled by 2^-e (exact) and its
-    report back by 2^e; where no B^q overflows the stack is used as given.
+    ``seeds[i]`` seeds operator i's random starts or Lanczos start vector.
+    The max-norm row sums and the l^p upper bound colmax^(1/p) rowmax^(1/p'),
+    rounded outward by _UPPER_SLACK_NEPS n eps, come from the row and column
+    sums of ``A.modulus()``, and the best spike and || |A| || from the ces(0)
+    column scan.  Only here is it decided how || |A| || is obtained: the row
+    sum in l-infinity and c0, the scan in ces(0), the operator norm where the
+    stack is its own modulus (in ces(0) then exact, with no ascent), else
+    one more pass on ``A.modulus()``, whose ascent also starts from |x*|,
+    the operator's best vector.  Where B^q overflows, with B = m 2^e the
+    largest absolute row or column sum and q the largest finite one of p,
+    p' and 2, the matrix is scaled by 2^-e (exact, and so is its modulus)
+    and its report back by 2^e; where no B^q overflows the stack is used as
+    given.
     """
     kind = space.kind
     for seed in seeds:
@@ -382,7 +389,7 @@ def _norm_reports(space, A, seeds, escorts=None):
     absA, ones = A.modulus(), np.ones(A.n)
     rows = absA.matvec(ones).max(axis=-1)
     if kind in ("linf", "c0"):
-        return [NormEstimate(v, v, "rowsum", True, True) for v in rows.tolist()]
+        return [NormEstimate(v, v, v, "rowsum", True, True) for v in rows.tolist()]
     cols, p = absA.rmatvec(ones).max(axis=-1), space.exponent
     big, q = np.maximum(rows, cols), max(x for x in (p, dual_exponent(p), 2.0) if x < np.inf)
     shifts = np.where(big > np.finfo(float).max ** (1 / q), np.frexp(big)[1], 0)
@@ -393,25 +400,36 @@ def _norm_reports(space, A, seeds, escorts=None):
         rows, cols = absA.matvec(ones).max(axis=-1), absA.rmatvec(ones).max(axis=-1)
     slack = 1.0 + _UPPER_SLACK_NEPS * A.n * np.finfo(float).eps
     uppers = (cols ** (1.0 / p) * rows ** (1.0 / dual_exponent(p)) * slack).tolist()
+    positive = A.d.dtype.kind == "f" and min(map(np.min, (A.d, A.u, A.v))) >= 0
+    regulars = None  # None: each regular norm is the operator norm
     if kind == "ces0":
         scans = [_ces0_column_sup(A[i]) for i in range(len(seeds))]
-        uppers = [regular for *_, regular in scans]
-    exact = kind == "ces0" and A.d.dtype.kind == "f" and min(map(np.min, (A.d, A.u, A.v))) >= 0
+        regulars = [regular for *_, regular in scans]
+        uppers = [regular * slack for regular in regulars]
+    exact = kind == "ces0" and positive
     if exact:
-        results, method = [(v, None, True) for v in uppers], "majorant"
+        results, method = [(v, None, True) for v in regulars], "majorant"
     elif kind == "lp" and p == 2.0:
         results, method = _lockstep_lanczos(A, seeds), "lanczos"
+        if not positive:
+            regulars = [v for v, *_ in _lockstep_lanczos(absA, seeds)]
     else:
-        results = _lockstep_ascent(space, A, _ascent_starts(space, A.n, seeds, escorts))
-        method = "ascent"
+        results, method = _lockstep_ascent(space, A, _ascent_starts(space, A.n, seeds)), "ascent"
+        if kind != "ces0" and not positive:
+            escorts = np.abs([np.zeros(A.n) if x is None else x for _, x, _ in results])
+            runs = _lockstep_ascent(space, absA, _ascent_starts(space, A.n, seeds, escorts))
+            regulars = [v for v, *_ in runs]
     reports = []
     for i, (value, vector, converged) in enumerate(results):
         if kind == "ces0" and not exact and scans[i][0] > value:
             value, vector = scans[i][:2]
         upper = uppers[i] if kind in ("lp", "ces0") else None
-        reports.append(NormEstimate(value, upper, method, exact, converged, vector))
+        # ||A|| <= || |A| || on these lattices, so value bounds the regular norm too
+        regular = value if regulars is None else max(regulars[i], value)
+        reports.append(NormEstimate(value, upper, regular, method, exact, converged, vector))
     for r, e in zip(reports, shifts.tolist()):
         r.value, r.upper = float(np.ldexp(r.value, e)), r.upper and float(np.ldexp(r.upper, e))
+        r.regular = float(np.ldexp(r.regular, e))
     return reports
 
 
@@ -421,8 +439,8 @@ def operator_norm_report(space, A, seed=0):
     Exact for the max-norm row sums and a positive A in ces(0); in l^2 the
     largest singular value to rounding, from Lanczos started at a vector
     seeded by ``seed``; elsewhere the best lower bound found by
-    dual-exponent ascent with restarts seeded by ``seed``.  The regular
-    norm of A is the norm of ``A.modulus()``, the least positive operator
+    dual-exponent ascent with restarts seeded by ``seed``.  The report's
+    ``regular`` is the norm of ``A.modulus()``, the least positive operator
     dominating A on these coordinatewise lattices.
     """
     return _norm_reports(space, stack([A]), [seed])[0]
@@ -505,32 +523,14 @@ class GrowthVerdict:
 def _sweep_task(space, n, chunk):
     """Records of one chunk of (lambda, gamma, seed, in_disk) tasks at size n.
 
-    One :func:`_norm_reports` call gives every operator norm of the chunk;
-    in the max-norm spaces each report's upper bound is the regular norm
-    || |R| || to rounding.  In l^p and ces(p) a second call gives the
-    regular norms, after an operator ascent with the (L, n) escort block
-    |x*| of its best vectors x*.  On these lattices ||R|| <= || |R| ||, so
-    the operator norm's lower bound is one of the regular norm too, and the
-    record keeps the larger: reg >= op even where the two agree to rounding.
+    The chunk's resolvents are stacked once, and one :func:`_norm_reports`
+    call gives every record's operator norm and regular norm.
     """
     R = stack([resolvent_operator(lam, n) for lam, *_ in chunk])
-    seeds = [seed for _, _, seed, _ in chunk]
-    ops = _norm_reports(space, R, seeds)
-    if space.exponent == np.inf:
-        regs = [op.upper for op in ops]
-    else:
-        escorts = np.abs([op.best_vector for op in ops]) if ops[0].method == "ascent" else None
-        regs = [reg.value for reg in _norm_reports(space, R.modulus(), seeds, escorts)]
+    reports = _norm_reports(space, R, [seed for _, _, seed, _ in chunk])
     return [
-        SweepRecord(
-            lam=lam,
-            n=n,
-            gamma=gamma,
-            op_norm_est=op.value,
-            reg_norm_est=max(reg, op.value),
-            in_disk=in_disk,
-        )
-        for (lam, gamma, _, in_disk), op, reg in zip(chunk, ops, regs)
+        SweepRecord(lam, n, gamma, report.value, report.regular, in_disk)
+        for (lam, gamma, _, in_disk), report in zip(chunk, reports)
     ]
 
 
@@ -578,7 +578,7 @@ def sweep(space, grid, sizes, seed=0):
             (lam, g, seed + 1000003 * i + j, in_disk)
             for i, (lam, g, in_disk) in enumerate(retained)
         ]
-        # an ascent's starts plus one escort (of l^p and ces(p) only) size the chunks
+        # an ascent's starts plus the |x*| start of a regular pass size the chunks
         k = ASCENT_RESTARTS + 1 + len(_vertex_starts(space, n))
         length = max(1, _LOCKSTEP_BYTES // (16 * k * n))
         for lo in range(0, len(tasks), length):

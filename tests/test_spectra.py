@@ -18,6 +18,7 @@ from ceslab import (
     ces0,
     cesaro_matrix,
     classify_growth,
+    diag_norm_equality_check,
     diag_operator,
     dual_exponent,
     in_spectrum,
@@ -30,10 +31,12 @@ from ceslab import (
     stack,
     sweep,
 )
+from ceslab.resolvent import gamma
 from ceslab.spaces import _vertex_starts
 from ceslab.spectra import (
     ASCENT_RESTARTS,
     ASCENT_RTOL,
+    SWEEP_GAMMA_SKIP,
     _UPPER_SLACK_NEPS,
     _ascent_starts,
     _ces0_column_sup,
@@ -122,10 +125,12 @@ class TestOperatorNorms:
         assert est == pytest.approx(oracle, rel=1e-8)
 
     def test_ces0_norm_of_averaging_matrix(self):
-        # C is its own modulus: its norm is the exact majorant sum, 1
+        # C is its own modulus: its norm is the exact majorant sum, 1, and the
+        # upper bound is that sum rounded outward
         for n in (16, 40, 256, 1024):
             report = operator_norm_report(ces0(), cesaro_matrix(n))
-            assert report.method == "majorant" and report.value == report.upper == 1.0
+            assert report.method == "majorant" and report.value == report.regular == 1.0
+            assert report.upper == 1.0 + _UPPER_SLACK_NEPS * n * EPS
 
     def test_lanczos_branch_matches_svd(self, rng):
         A = random_triangular(rng, 48, blocks=2)
@@ -238,10 +243,27 @@ class TestOperatorNorms:
         want = self.linprog_norm(self.dense_averages(R))
         report = operator_norm_report(ces0(), R.modulus())
         assert report.method == "majorant" and report.exact and report.converged
-        assert report.value == report.upper == pytest.approx(want, rel=1e-12)
-        assert operator_norm_report(ces0(), R).upper == report.value
+        assert report.value == report.regular == pytest.approx(want, rel=1e-12)
+        assert operator_norm_report(ces0(), R).regular == report.value
         # a majorant taken from the left would not pass
         assert self.dense_majorant_sum(R, from_left=True) > want * (1 + 1e-6)
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_ces0_upper_bound_caps_the_ascent_on_the_modulus(self, n):
+        # every ascent ratio on |R| is the norm ratio at an actual vector, so
+        # only an outward rounding keeps the exact majorant sum above them all
+        lams = [
+            lam
+            for lam in GridSpec(-0.5, 2.5, -1.5, 1.5, 0.3).points()
+            if gamma(lam) > SWEEP_GAMMA_SKIP
+        ]
+        R, seeds = stack([resolvent_operator(lam, n) for lam in lams]), range(len(lams))
+        reports = _norm_reports(ces0(), R, seeds)
+        ascents = _lockstep_ascent(ces0(), R.modulus(), _ascent_starts(ces0(), n, seeds))
+        assert len(lams) == 119
+        for report, (value, *_) in zip(reports, ascents):
+            assert value <= report.upper
+            assert report.regular <= report.upper
 
     def test_ces0_norm_of_a_positive_multiplier_is_exact(self, rng):
         phi = rng.standard_normal(40) + 1j * rng.standard_normal(40)
@@ -339,14 +361,17 @@ class TestOperatorNorms:
         big = self._scaled(R1, 2.0**900)
         block = _norm_reports(space, stack([big, R2, R3]), [1, 2, 3])
         alone = _norm_reports(space, stack([big]), [1])[0]
-        assert (block[0].value, block[0].upper) == (alone.value, alone.upper)
+        fields = ("value", "upper", "regular")
+        assert [getattr(block[0], f) for f in fields] == [getattr(alone, f) for f in fields]
         own = _norm_reports(space, stack([R1]), [1])[0]
-        assert block[0].value == pytest.approx(np.ldexp(own.value, 900), rel=1e-10)
-        if space.exponent == 2.0 or space.kind == "ces0":  # exact under a power of 2
-            assert block[0].value == np.ldexp(own.value, 900)
+        for f in ("value", "regular"):
+            scaled = np.ldexp(getattr(own, f), 900)
+            assert getattr(block[0], f) == pytest.approx(scaled, rel=1e-10)
+            if space.exponent == 2.0 or space.kind == "ces0":  # exact under a power of 2
+                assert getattr(block[0], f) == scaled
         for R, seed, report in zip((R2, R3), (2, 3), block[1:]):
             single = _norm_reports(space, stack([R]), [seed])[0]
-            assert (report.value, report.upper) == (single.value, single.upper)
+            assert [getattr(report, f) for f in fields] == [getattr(single, f) for f in fields]
             assert report.converged == single.converged
 
     def test_ces_norm_bounded_by_hardy_constant(self):
@@ -371,21 +396,69 @@ class TestRegularNorm:
         A = random_triangular(rng, 20, real=True, blocks=2)
         A = A.modulus()  # force positivity
         for space in (lp(2), lp(3), linf(), ces(2), ces0()):
-            regular = operator_norm_report(space, A.modulus()).value
-            assert regular == operator_norm_report(space, A).value
+            report = operator_norm_report(space, A)
+            assert report.regular == report.value
 
     def test_diagonal_signs_wash_out(self):
         D = diag_operator([-1.0, 1j])
         for space in (lp(2), linf()):
-            regular = operator_norm_report(space, D.modulus()).value
-            assert regular == pytest.approx(1.0, rel=1e-14)
-            assert operator_norm_report(space, D).value == pytest.approx(1.0, rel=1e-14)
+            report = operator_norm_report(space, D)
+            assert report.regular == pytest.approx(1.0, rel=1e-14)
+            assert report.value == pytest.approx(1.0, rel=1e-14)
 
-    def test_resolvent_regular_at_least_operator(self):
-        R = resolvent_operator(-1.0, 64)
-        op = operator_norm_report(lp(2), R).value
-        reg = operator_norm_report(lp(2), R.modulus()).value
-        assert op <= reg + 1e-9
+    @pytest.mark.parametrize("lam", [-1.0, 0.4 + 0.3j, 2 - 1j])
+    def test_l2_regular_norm_is_the_svd_of_the_modulus(self, lam):
+        R = resolvent_operator(lam, 64)
+        report = operator_norm_report(lp(2), R)
+        assert report.value <= report.regular
+        assert report.regular == pytest.approx(svdvals(R.modulus().dense())[0], rel=1e-12)
+
+    @pytest.mark.parametrize("space", [lp(3), ces(2)], ids=str)
+    def test_zero_complex_operator(self, space):
+        # complex, so not its own modulus: the regular pass runs, though the
+        # operator ascent found no vector with a positive ratio
+        report = operator_norm_report(space, diag_operator(np.zeros(4, dtype=complex)))
+        assert report.value == report.regular == 0.0 and report.best_vector is None
+
+    @staticmethod
+    def estimator_passes(monkeypatch):
+        """Count the calls of the two iterative estimators from here on."""
+        import ceslab.spectra
+
+        calls = []
+        for name in ("_lockstep_ascent", "_lockstep_lanczos"):
+            original = getattr(ceslab.spectra, name)
+
+            def counted(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(ceslab.spectra, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("space", [lp(3), ces(2)], ids=str)
+    def test_positive_multiplier_takes_one_pass(self, rng, space, monkeypatch):
+        calls = self.estimator_passes(monkeypatch)
+        report = diag_norm_equality_check(space, np.abs(rng.standard_normal(24)))
+        assert calls == ["_lockstep_ascent"] and report.equality_holds
+        # with signs, the regular norm takes a second pass on the modulus
+        diag_norm_equality_check(space, rng.standard_normal(24))
+        assert calls == ["_lockstep_ascent"] * 3
+
+    # the estimator passes of the averaging matrix, which is its own modulus
+    PASSES = {
+        "lp(2)": ["_lockstep_lanczos"],
+        "lp(3)": ["_lockstep_ascent"],
+        "ces(2)": ["_lockstep_ascent"],
+        "ces0": [],
+        "linf": [],
+    }
+
+    @pytest.mark.parametrize("space", [lp(2), lp(3), ces(2), ces0(), linf()], ids=str)
+    def test_averaging_matrix_takes_at_most_one_pass(self, space, monkeypatch):
+        calls = self.estimator_passes(monkeypatch)
+        report = operator_norm_report(space, cesaro_matrix(32))
+        assert calls == self.PASSES[str(space)] and report.regular == report.value
 
 
 def sequential_ascent(space, A, starts, max_iter):
@@ -503,18 +576,15 @@ class TestLockstep:
         operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
         operators += [resolvent_operator(0.45 + 0.5j, n), resolvent_operator(2 + 1j, n)]
         seeds = list(range(len(operators)))
-        # one run with an escort start for every operator, one with none
-        for escorts in (np.abs(rng.standard_normal((len(operators), n))), None):
-            block = _norm_reports(space, stack(operators), seeds, escorts)
-            single = [
-                _norm_reports(space, stack([A]), [s], None if escorts is None else escorts[[i]])[0]
-                for i, (A, s) in enumerate(zip(operators, seeds))
-            ]
-            assert {r.converged for r in single} == {True, False}
-            for b, s in zip(block, single):
-                assert b.value == pytest.approx(s.value, rel=4 * EPS, abs=0)
-                assert b.converged == s.converged
-                np.testing.assert_allclose(b.best_vector, s.best_vector, rtol=4 * EPS, atol=0)
+        # the regular ascents on |A| also start from each operator's |x*|
+        block = _norm_reports(space, stack(operators), seeds)
+        single = [_norm_reports(space, stack([A]), [s])[0] for A, s in zip(operators, seeds)]
+        assert {r.converged for r in single} == {True, False}
+        for b, s in zip(block, single):
+            assert b.value == pytest.approx(s.value, rel=4 * EPS, abs=0)
+            assert b.regular == pytest.approx(s.regular, rel=4 * EPS, abs=0)
+            assert b.converged == s.converged
+            np.testing.assert_allclose(b.best_vector, s.best_vector, rtol=4 * EPS, atol=0)
 
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_block_matches_sequential_reference(self, rng, space, monkeypatch):
@@ -629,12 +699,6 @@ class TestRealStacks:
 
     LAMBDAS = (-0.5, -0.1, 0.45, 0.85, 1.3, 2.0)
 
-    @staticmethod
-    def reports(space, R, seeds):
-        ops = _norm_reports(space, R, seeds)
-        escorts = np.abs([op.best_vector for op in ops])
-        return ops + _norm_reports(space, R.modulus(), seeds, escorts)
-
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_norms_agree_with_the_complex_stack(self, space, n):
@@ -643,10 +707,11 @@ class TestRealStacks:
         generators = (a.astype(np.complex128) for a in (R.d, R.u, R.v))
         C = LowerTriangularMatrix(*generators, R.starts, R.ratios)
         seeds = list(range(len(self.LAMBDAS)))
-        real, complex_ = self.reports(space, R, seeds), self.reports(space, C, seeds)
-        assert all(r.method == "ascent" for r in real[: len(seeds)])  # the operator pass
+        real, complex_ = _norm_reports(space, R, seeds), _norm_reports(space, C, seeds)
+        assert all(r.method == "ascent" for r in real)
         for a, b in zip(real, complex_):
             assert abs(a.value - b.value) <= 8 * EPS * b.value
+            assert abs(a.regular - b.regular) <= 8 * EPS * b.regular
             assert a.upper == b.upper  # from |R|, the same in both
 
 
@@ -708,14 +773,13 @@ class TestSweep:
             assert rec.in_disk == (abs(rec.lam - 1.0) <= 1.0 + 1e-12)
 
     def test_ces0_sweep_scans_each_resolvent_once(self, monkeypatch):
-        # the operator pass scans each resolvent once, and its upper bound is
-        # the exact norm of |R|: a record's regular norm is bit for bit the
-        # report of R.modulus() alone, or the operator norm where larger
+        # one scan per resolvent gives the exact norm of |R|: a record's
+        # regular norm is bit for bit the exact report of R.modulus(), or the
+        # operator norm where larger
         import ceslab.spectra
 
         grid = GridSpec(-0.5, 2.5, -1.5, 1.5, 0.75)
-        scan, reports = ceslab.spectra._ces0_column_sup, ceslab.spectra._norm_reports
-        scanned = []
+        scan, scanned = ceslab.spectra._ces0_column_sup, []
 
         def counting_scan(A):
             scanned.append(A.n)
@@ -725,9 +789,9 @@ class TestSweep:
         records = sweep(ces0(), grid, [8, 32], seed=3)
         assert sorted(scanned) == sorted(r.n for r in records)
         for rec in records:
-            R = resolvent_operator(rec.lam, rec.n)
-            reg = reports(ces0(), stack([R.modulus()]), [0])[0].value
-            assert rec.reg_norm_est == max(reg, rec.op_norm_est)
+            exact = operator_norm_report(ces0(), resolvent_operator(rec.lam, rec.n).modulus())
+            assert exact.method == "majorant" and exact.regular == exact.value
+            assert rec.reg_norm_est == max(exact.value, rec.op_norm_est)
 
     @pytest.mark.parametrize("space", [linf(), c0(), ces0()], ids=str)
     def test_max_norm_sweeps_make_one_pass_per_chunk(self, space, monkeypatch):
@@ -802,11 +866,8 @@ class TestSweep:
         for i, lam in enumerate(grid.points()):
             for j, n in enumerate([8, 16]):
                 seed = 9 + 1000003 * i + j
-                R = resolvent_operator(lam, n)
-                op = operator_norm_report(space, R, seed)
-                escort = None if op.best_vector is None else np.abs(op.best_vector)[None]
-                reg = _norm_reports(space, stack([R.modulus()]), [seed], escort)[0]
-                expected.append((lam, n, op.value, reg.value))
+                report = operator_norm_report(space, resolvent_operator(lam, n), seed)
+                expected.append((lam, n, report.value, report.regular))
         assert [(r.lam, r.n) for r in records] == [e[:2] for e in expected]
         for rec, (_, _, op, reg) in zip(records, expected):
             assert rec.op_norm_est == pytest.approx(op, rel=4 * EPS, abs=0)
