@@ -84,10 +84,14 @@ LANCZOS_MAX_PRODUCTS = 20000
 
 # Each ascent starts from the ones vector and ASCENT_RESTARTS - 1 seeded
 # random vectors, and a start stops once its ratio rises by no more than
-# ASCENT_RTOL times max(ratio, 1) or after ASCENT_MAX_ITER products.
+# ASCENT_RTOL times max(ratio, 1) or after ASCENT_MAX_ITER products.  Once
+# none of an operator's running starts holds its best ratio, a start also
+# stops when _ASCENT_REACH times its last rise, kept up for every product
+# left, still falls short of that best.
 ASCENT_RESTARTS = 5
 ASCENT_RTOL = 1e-10
 ASCENT_MAX_ITER = 200
+_ASCENT_REACH = 10
 
 # The l^p upper bound is rounded outward by the factor 1 + _UPPER_SLACK_NEPS
 # n eps.  It and the norm ratio it caps are both built from running sums of
@@ -134,7 +138,9 @@ class NormEstimate:
     ``value`` is exact for the max-norm row sums and the ces(0) majorant
     sum of a positive A, else a certified lower bound, the norm ratio at an
     actual vector; in l^2 the ratio at the unit top Ritz vector, with
-    ``converged`` false when the product cap came before the residual test.
+    ``converged`` false when the product cap came before the residual test;
+    in an ascent ``converged`` is false when a start holding the best ratio
+    was still running at the product cap.
     ``upper`` is an upper bound when one is available: colmax^(1/p)
     rowmax^(1/p') in l^p, || |A| || rounded outward in ces(0), the row sum
     in l-infinity and c0.  ``regular``, never below ``value``, is || |A| ||:
@@ -279,7 +285,13 @@ def _lockstep_ascent(space, A, starts):
     running sum over the block.  Each (start, operator) row runs the rule
     of a single ascent (Higham, Numer. Math. 62, 1992): it runs while its
     ratio is finite and still rising by more than ASCENT_RTOL and its next
-    iterate has a positive norm.  Stopped rows leave the block, and so does
+    iterate has a positive norm.  Once none of an operator's running rows
+    holds its best ratio, a row also stops where _ASCENT_REACH times its
+    last rise, kept up for every product left before ASCENT_MAX_ITER, falls
+    short of the best: a trailing restart that cannot reach it stops
+    early, and the row holding the best never stops by this rule.  Both
+    rules read only the operator's own rows, so each operator gets the
+    result of its own L = 1 run.  Stopped rows leave the block, and so does
     an operator once all its rows have stopped; the stack is indexed down
     to the operators still running.
 
@@ -287,14 +299,14 @@ def _lockstep_ascent(space, A, starts):
     bound.  Returns (value, best_vector, converged) per operator: the
     largest ratio; the iterate of the earliest step that reached it, of
     that step's running rows the first in start order (None if no ratio
-    was positive); and whether every row stopped within ASCENT_MAX_ITER
-    products.
+    was positive); and whether every row stopped, by either rule, within
+    ASCENT_MAX_ITER products.
     """
     k, L, n = starts.shape
     # real operators with real starts keep real iterates
     X = starts.astype(np.result_type(A.d, starts))
     del starts  # as large as the iterates; _norm_reports passes it on without holding it
-    scale, _ = _norms(space, X)
+    scale = _norms(space, X)[0]
     live = scale > 0
     X /= np.where(live, scale, 1.0)[..., None]
     prev = np.full((k, L), -np.inf)
@@ -303,7 +315,7 @@ def _lockstep_ascent(space, A, starts):
     converged = np.zeros(L, dtype=bool)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(ASCENT_MAX_ITER):
+        for step in range(ASCENT_MAX_ITER):
             y = A.matvec(X)
             est, w = _norms(space, y)
             live &= np.isfinite(est)
@@ -313,12 +325,17 @@ def _lockstep_ascent(space, A, starts):
             up = np.flatnonzero(top > best[owner])
             best[owner[up]] = top[up]
             best_x[owner[up]] = X[row[up], up]
-            live &= est - prev > ASCENT_RTOL * np.maximum(est, 1.0)
+            rise = est - prev
+            live &= rise > ASCENT_RTOL * np.maximum(est, 1.0)
+            # trailing rows whose rise, kept up to the cap, cannot reach their best
+            held = np.where(live, est, -np.inf).max(axis=0) >= best[owner]
+            reach = _ASCENT_REACH * rise * (ASCENT_MAX_ITER - 1 - step)
+            live &= held | (reach >= best[owner] - est)
             prev = est
             # step along the norm's subgradient, pulled back through A*
             z = A.rmatvec(_norming_functionals(space, y, est, w))
             z = _primal_directions(space, z)
-            scale, _ = _norms(space, z)
+            scale = _norms(space, z)[0]
             live &= scale > 0
             X = z
             X /= scale[..., None]  # stopped rows go stale: no ratio of theirs counts

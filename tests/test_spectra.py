@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
-
 from ceslab import (
     GridSpec,
     InvalidConfigError,
@@ -462,12 +461,17 @@ class TestRegularNorm:
 
 
 def sequential_ascent(space, A, starts, max_iter):
-    """Reference: one start vector at a time, each a plain power-type ascent.
+    """Reference: one operator's starts stepped together in dense arithmetic.
 
     Returns (value, converged) as the block code should find them: the
     best ratio over every start and iteration, and whether every start
-    stopped within ``max_iter`` products.
+    stopped within ``max_iter`` products.  A start stops once its ratio is
+    zero or no longer rising, or its next iterate is zero; and, once no
+    running start holds the best, where _ASCENT_REACH times its last rise,
+    kept up for every product left, falls short of the best.
     """
+    import ceslab.spectra
+
     dense = A.dense().astype(complex)
     n = A.n
     k = np.arange(1, n + 1)
@@ -485,35 +489,44 @@ def sequential_ascent(space, A, starts, max_iter):
             phase = np.where(np.abs(z) > 0, z / np.abs(z), 0)
         return phase * np.abs(z) ** (q - 1.0)
 
-    best, converged = 0.0, True
-    for x0 in starts:
-        x = x0 / space_norm(x0)
-        prev = -np.inf
-        for _ in range(max_iter):
-            y = dense @ x
-            est = space_norm(y)
-            best = max(best, est)
-            if est == 0.0 or est - prev <= ASCENT_RTOL * max(est, 1.0):
-                break
-            prev = est
-            if space.kind == "lp":
-                z = dense.conj().T @ dual_map(y, space.p)
-            else:
-                w = averages(y)
-                if space.kind == "ces0":
-                    g = np.zeros(n)
-                    g[np.argmax(w)] = 1.0
-                else:
-                    g = (w / est) ** (space.p - 1.0)
-                dual_c = np.cumsum((g / k)[::-1])[::-1]  # C^T g
-                z = dense.conj().T @ (dual_map(y, 1.0) * dual_c)
-            if np.abs(z).max() == 0:
-                break
-            x = z if space.kind == "ces0" else dual_map(z, dual_exponent(space.p))
-            x = x / space_norm(x)
+    def next_start(y, est):
+        if space.kind == "lp":
+            z = dense.conj().T @ dual_map(y, space.p)
         else:
-            converged = False
-    return best, converged
+            w = averages(y)
+            if space.kind == "ces0":
+                g = np.zeros(n)
+                g[np.argmax(w)] = 1.0
+            else:
+                g = (w / est) ** (space.p - 1.0)
+            dual_c = np.cumsum((g / k)[::-1])[::-1]  # C^T g
+            z = dense.conj().T @ (dual_map(y, 1.0) * dual_c)
+        if np.abs(z).max() == 0:
+            return None
+        x = z if space.kind == "ces0" else dual_map(z, dual_exponent(space.p))
+        return x / space_norm(x)
+
+    runs = [(x0 / space_norm(x0), -np.inf) for x0 in starts]  # (iterate, last ratio)
+    best = 0.0
+    for step in range(max_iter):
+        ests = [space_norm(dense @ x) for x, _ in runs]
+        best = max(best, *ests)
+        rising = [
+            (x, est, est - prev)
+            for (x, prev), est in zip(runs, ests)
+            if est > 0.0 and est - prev > ASCENT_RTOL * max(est, 1.0)
+        ]
+        held = any(est >= best for _, est, _ in rising)
+        left = max_iter - 1 - step
+        runs = []
+        for x, est, rise in rising:
+            if held or ceslab.spectra._ASCENT_REACH * rise * left >= best - est:
+                x = next_start(dense @ x, est)
+                if x is not None:
+                    runs.append((x, est))
+        if not runs:
+            return best, True
+    return best, False
 
 
 class TestAscentStarts:
@@ -564,8 +577,8 @@ class TestLockstep:
     """A block of L operators gives each the result of its own L = 1 run."""
 
     # max_iter per space, chosen so that some operators stop within it
-    # and others run out of iterations
-    MAX_ITER = {"lp": 9, "ces": 12, "ces0": 9}
+    # and others still have a row holding their best at the cap
+    MAX_ITER = {"lp": 9, "ces": 9, "ces0": 9}
 
     @pytest.mark.parametrize("n", [24, 212])
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
@@ -574,7 +587,8 @@ class TestLockstep:
 
         monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", self.MAX_ITER[space.kind])
         operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
-        operators += [resolvent_operator(0.45 + 0.5j, n), resolvent_operator(2 + 1j, n)]
+        # at -0.7-0.6i the ces(0) ascent still rises at the cap
+        operators += [resolvent_operator(lam, n) for lam in (0.45 + 0.5j, 2 + 1j, -0.7 - 0.6j)]
         seeds = list(range(len(operators)))
         # the regular ascents on |A| also start from each operator's |x*|
         block = _norm_reports(space, stack(operators), seeds)
@@ -594,20 +608,26 @@ class TestLockstep:
         monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", max_iter)
         operators = [random_triangular(rng, 20, blocks=2) for _ in range(3)]
         operators += [resolvent_operator(0.45 + 0.5j, 20).modulus()]
+        operators += [resolvent_operator(-0.6 - 1.1j, 20)]  # still rising at the cap
         # norms below 1, where the stopping rule is absolute
         operators += [
             LowerTriangularMatrix(A.d / 1e4, A.u / 1e4, A.v, A.starts, A.ratios)
             for A in operators[:2]
         ]
         starts = _ascent_starts(space, 20, [0] * len(operators))
-        block = _lockstep_ascent(space, stack(operators), starts)
-        assert {converged for *_, converged in block} == {True, False}
-        for A, s, (value, vector, converged) in zip(operators, starts.swapaxes(0, 1), block):
-            ref_value, ref_converged = sequential_ascent(space, A, s, max_iter)
-            assert value == pytest.approx(ref_value, rel=1e-12)
-            assert converged == ref_converged
-            ratio = norm(space, A.matvec(vector)) / norm(space, vector)
-            assert value == pytest.approx(ratio, rel=1e-12)
+        # at a reach of 0 a trailing row leaves as soon as no running row
+        # holds its operator's best, and only then
+        for reach in (ceslab.spectra._ASCENT_REACH, 0.0):
+            monkeypatch.setattr(ceslab.spectra, "_ASCENT_REACH", reach)
+            block = _lockstep_ascent(space, stack(operators), starts)
+            if reach:
+                assert {converged for *_, converged in block} == {True, False}
+            for A, s, (value, vector, converged) in zip(operators, starts.swapaxes(0, 1), block):
+                ref_value, ref_converged = sequential_ascent(space, A, s, max_iter)
+                assert value == pytest.approx(ref_value, rel=1e-12)
+                assert converged == ref_converged
+                ratio = norm(space, A.matvec(vector)) / norm(space, vector)
+                assert value == pytest.approx(ratio, rel=1e-12)
 
     def test_values_are_ratios_at_their_vectors(self, rng):
         operators = [random_triangular(rng, 16, blocks=2) for _ in range(4)]
@@ -616,6 +636,55 @@ class TestLockstep:
             for A, r in zip(operators, reports):
                 ratio = norm(space, A.matvec(r.best_vector)) / norm(space, r.best_vector)
                 assert r.value == pytest.approx(ratio, rel=1e-12)
+
+
+class TestAscentReach:
+    """Trailing restarts leave the ascent early, and no value moves."""
+
+    # the seed-1 lambda grid of the golden sweep fixtures: 25 lambdas, none
+    # in a pole shadow, task i seeded 1 + 1000003 i at the first size
+    GRID = GridSpec(
+        -0.4861058966714063, 2.5138941033285938, -1.404964878631278, 1.595035121368722, 0.75
+    )
+
+    @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
+    def test_rule_moves_no_value(self, space, monkeypatch):
+        import ceslab.spectra
+
+        chunks = [
+            ([resolvent_operator(lam, 32) for lam in self.GRID.points()], range(25)),
+            # lambda = -0.5 of the README rectangle at step 0.3, n = 32: a
+            # trailing restart whose rise grows as it leaves a saddle takes
+            # over the best, which a factor of 2 in place of 10 loses
+            ([resolvent_operator(-0.5, 32)], [55]),
+        ]
+        reports = []
+        for reach in (ceslab.spectra._ASCENT_REACH, np.inf):  # inf: the rule is off
+            monkeypatch.setattr(ceslab.spectra, "_ASCENT_REACH", reach)
+            reports.append([])
+            for operators, tasks in chunks:
+                seeds = [1 + 1000003 * i for i in tasks]
+                reports[-1] += _norm_reports(space, stack(operators), seeds)
+        ruled, unruled = reports
+        for a, b in zip(ruled, unruled, strict=True):
+            assert (a.value, a.regular, a.upper) == (b.value, b.regular, b.upper)
+            np.testing.assert_array_equal(a.best_vector, b.best_vector, strict=True)
+        if space.kind == "lp":
+            assert ruled[-1].value == 2.042280151508891
+
+    def test_trailing_restarts_leave_early(self, monkeypatch):
+        # the ces(0) sweep's chunk of 25 lambdas at n = 32 ran all
+        # ASCENT_MAX_ITER = 200 products before trailing restarts left
+        import ceslab.spectra
+
+        products, functionals = [], ceslab.spectra._norming_functionals
+        monkeypatch.setattr(
+            ceslab.spectra,
+            "_norming_functionals",
+            lambda *args: products.append(1) or functionals(*args),
+        )
+        records = sweep(ces0(), self.GRID, [32], seed=1)
+        assert len(records) == 25 and len(products) <= 50
 
 
 class TestLockstepLanczos:
