@@ -595,8 +595,9 @@ def sweep(space, grid, sizes, seed=0):
             (lam, g, seed + 1000003 * i + j, in_disk)
             for i, (lam, g, in_disk) in enumerate(retained)
         ]
-        # an ascent's starts plus the |x*| start of a regular pass size the chunks
-        k = ASCENT_RESTARTS + 1 + len(_vertex_starts(space, n))
+        # an ascent's starts size the chunks, with the |x*| start of a regular
+        # pass outside ces(0), whose regular norm comes from its column scan
+        k = ASCENT_RESTARTS + (space.kind != "ces0") + len(_vertex_starts(space, n))
         length = max(1, _LOCKSTEP_BYTES // (16 * k * n))
         for lo in range(0, len(tasks), length):
             chunk_records = _sweep_task(space, n, tasks[lo : lo + length])

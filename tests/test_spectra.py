@@ -905,13 +905,13 @@ class TestSweep:
         assert first == second
 
     # chunks over 9 lambdas whose (k, L, n) iterate block fits 8192 bytes:
-    # k = 6 starts in l^p, l-infinity and ces(p), 11 (n = 8) or 13 (n = 16)
-    # in ces(0)
+    # k = 6 starts in l^p, l-infinity and ces(p), 10 (n = 8) or 12 (n = 16)
+    # in ces(0), which has no |x*| start
     CHUNKS = {
         "lp": [(8, 9), (16, 5), (16, 4)],
         "linf": [(8, 9), (16, 5), (16, 4)],
         "ces": [(8, 9), (16, 5), (16, 4)],
-        "ces0": [(8, 5), (8, 4)] + [(16, 2)] * 4 + [(16, 1)],
+        "ces0": [(8, 6), (8, 3)] + [(16, 2)] * 4 + [(16, 1)],
     }
 
     @pytest.mark.parametrize("space", [lp(2), lp(3), linf(), ces(2), ces0()], ids=str)
