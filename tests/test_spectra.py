@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
+
 from ceslab import (
     GridSpec,
     InvalidConfigError,
@@ -576,16 +577,16 @@ class TestAscentStarts:
 class TestLockstep:
     """A block of L operators gives each the result of its own L = 1 run."""
 
-    # max_iter per space, chosen so that some operators stop within it
-    # and others still have a row holding their best at the cap
-    MAX_ITER = {"lp": 9, "ces": 9, "ces0": 9}
+    # chosen so that some operators stop within it and others still have
+    # a row holding their best at the cap
+    MAX_ITER = 9
 
     @pytest.mark.parametrize("n", [24, 212])
     @pytest.mark.parametrize("space", [lp(3), ces(2), ces0()], ids=str)
     def test_block_matches_single_runs(self, rng, space, n, monkeypatch):
         import ceslab.spectra
 
-        monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", self.MAX_ITER[space.kind])
+        monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", self.MAX_ITER)
         operators = [random_triangular(rng, n, blocks=2) for _ in range(3)]
         # at -0.7-0.6i the ces(0) ascent still rises at the cap
         operators += [resolvent_operator(lam, n) for lam in (0.45 + 0.5j, 2 + 1j, -0.7 - 0.6j)]
@@ -604,7 +605,7 @@ class TestLockstep:
     def test_block_matches_sequential_reference(self, rng, space, monkeypatch):
         import ceslab.spectra
 
-        max_iter = self.MAX_ITER[space.kind]
+        max_iter = self.MAX_ITER
         monkeypatch.setattr(ceslab.spectra, "ASCENT_MAX_ITER", max_iter)
         operators = [random_triangular(rng, 20, blocks=2) for _ in range(3)]
         operators += [resolvent_operator(0.45 + 0.5j, 20).modulus()]
